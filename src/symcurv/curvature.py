@@ -235,20 +235,27 @@ def is_algebraic_curvature(tensor: DenseTensor) -> bool:
     :class:`CriteriaDisagreement` because it would expose a bug, not a
     property of the input.
     """
+    return _agreed_check(tensor).ok
+
+
+def _agreed_check(tensor: DenseTensor) -> CurvatureCheck:
+    """``check_curvature``, raising :class:`CriteriaDisagreement` when the
+    two criteria disagree."""
     result = check_curvature(tensor)
     if result.direct_ok != result.young_ok:
         raise CriteriaDisagreement(
             f"direct test says {result.direct_ok}, symmetrizer test says "
             f"{result.young_ok}; violation={result.first_violation!r}"
         )
-    return result.ok
+    return result
 
 
 def _require_curvature(tensor: DenseTensor) -> None:
-    if not is_algebraic_curvature(tensor):
+    result = _agreed_check(tensor)
+    if not result.ok:
         raise NotACurvatureTensor(
             "input is not an algebraic curvature tensor: "
-            f"{check_curvature(tensor).first_violation}"
+            f"{result.first_violation}"
         )
 
 
@@ -360,6 +367,20 @@ def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]
     return tuple(terms)
 
 
+def _rank_at_most_one(matrix: DenseTensor) -> bool:
+    """True iff every 2x2 minor of ``matrix`` vanishes; for a symmetric
+    matrix that is exactly ``gamma(matrix) == 0``."""
+    rows = matrix.to_nested()
+    for i, row in enumerate(rows):
+        for j, pivot in enumerate(row):
+            if pivot:
+                # rank <= 1 iff matrix == column j (x) row i / pivot
+                return all(value * pivot == rows[k][j] * row[l]
+                           for k, other in enumerate(rows)
+                           for l, value in enumerate(other))
+    return True
+
+
 def _checked(decomposition: CurvatureDecomposition,
              source: DenseTensor) -> CurvatureDecomposition:
     if decomposition.reconstruct() != source:
@@ -432,6 +453,8 @@ def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
 
     merged = _merge_terms(raw)
     if kind == "gamma":
+        # polarizing with diagonal slices yields rank-1 terms, whose gamma is 0
+        merged = tuple(t for t in merged if not _rank_at_most_one(t.matrix))
         decomposition = CurvatureDecomposition("pure-gamma", tensor.dim, merged, ())
     else:
         decomposition = CurvatureDecomposition("pure-alpha", tensor.dim, (), merged)

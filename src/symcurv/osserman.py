@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._exact import exact
@@ -118,10 +118,6 @@ class LinearMap:
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "LinearMap":
-        return cls([[0] * n for _ in range(n)])
 
     @property
     def dim(self) -> int:
@@ -286,11 +282,6 @@ class Metric:
         n = self.dim
         return all(b[i][j] == -b[j][i] for i in range(n) for j in range(i, n))
 
-    def is_symmetric_map(self, mapping: LinearMap) -> bool:
-        b = _mat_mul(self._rows, mapping.rows)
-        n = self.dim
-        return all(b[i][j] == b[j][i] for i in range(n) for j in range(i + 1, n))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Metric) and self._rows == other._rows
 
@@ -431,7 +422,7 @@ def rational_roots(
         # polynomial whose rational roots are integers dividing its constant
         scale = 1
         for c in coeffs:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+            scale = scale * c.denominator // gcd(scale, c.denominator)
         constant = coeffs[-1] * scale ** (len(coeffs) - 1)
         found = None
         for divisor in _divisors(int(constant)):
@@ -448,12 +439,6 @@ def rational_roots(
         roots[found] = roots.get(found, 0) + 1
     pairs = tuple(sorted(roots.items()))
     return pairs, tuple(coeffs)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

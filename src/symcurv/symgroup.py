@@ -10,13 +10,19 @@ Conventions, fixed here once for the whole package:
 * ``star`` maps each permutation to its inverse and extends linearly;
   it is an anti-homomorphism: ``star(a*b) == star(b)*star(a)``.
 
-Coefficients are ``fractions.Fraction`` throughout; floats are rejected.
+Coefficients are ``fractions.Fraction`` at the API; floats are rejected.
+Inside a product each factor is brought to integer numerators over its own
+common denominator, the convolution accumulates integer products keyed by
+one-line image tuples, and one ``Fraction`` is built per output term.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations as _one_line_tuples
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 from ._exact import exact
@@ -47,6 +53,14 @@ class Permutation:
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         self._images = imgs
+
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap ``images`` without validation; callers guarantee that it is
+        a permutation tuple (a composition, an inverse, a group listing)."""
+        perm = object.__new__(cls)
+        perm._images = images
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -93,13 +107,13 @@ class Permutation:
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
         mine = self._images
-        return Permutation(mine[q - 1] for q in other._images)
+        return Permutation._unchecked(tuple([mine[q - 1] for q in other._images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._images)
         for i, img in enumerate(self._images):
             inv[img - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def sign(self) -> int:
         """+1 for even permutations, -1 for odd (via cycle parity)."""
@@ -141,7 +155,38 @@ def enumerate_group(r: int, cap: int = DEGREE_CAP) -> list[Permutation]:
     if r < 1:
         raise ValueError(f"degree must be >= 1, got {r}")
     _check_cap(r, cap)
-    return [Permutation(t) for t in _one_line_tuples(range(1, r + 1))]
+    return [Permutation._unchecked(t) for t in _one_line_tuples(range(1, r + 1))]
+
+
+def _right_composer(q_images: tuple[int, ...]):
+    """A callable mapping ``p.images`` to ``(p * q).images``."""
+    if len(q_images) == 1:
+        # itemgetter with a single index returns a scalar, not a tuple
+        return itemgetter(slice(None))
+    return itemgetter(*[x - 1 for x in q_images])
+
+
+def _convolve(left: list[tuple[tuple[int, ...], int]],
+              right: Iterable[tuple[tuple[int, ...], int]]
+              ) -> dict[tuple[int, ...], int]:
+    """Integer convolution of ``(images, coefficient)`` term lists: the sum
+    of ``a*b`` at ``p * q`` over all ``(p, a)`` in ``left`` and ``(q, b)`` in
+    ``right``.  Entries that cancel to 0 are kept; callers drop them."""
+    sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for q_images, b in right:
+        compose = _right_composer(q_images)
+        for p_images, a in left:
+            sums[compose(p_images)] += a * b
+    return sums
+
+
+def _numerators(terms: Mapping[Permutation, Fraction]
+                ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """``terms`` as ``(images, numerator)`` pairs over their common
+    denominator, together with that denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return ([(p.images, c.numerator * (den // c.denominator))
+             for p, c in terms.items()], den)
 
 
 class GroupRingElement:
@@ -180,6 +225,17 @@ class GroupRingElement:
             else:
                 data.pop(perm, None)
         self._terms = data
+
+    @classmethod
+    def _from_numerators(cls, degree: int,
+                         numerators: Mapping[tuple[int, ...], int],
+                         denominator: int = 1) -> "GroupRingElement":
+        """The element ``sum of n/denominator * images`` over the nonzero
+        entries of ``numerators``, keyed by valid image tuples of ``degree``."""
+        out = cls(degree)
+        out._terms = {Permutation._unchecked(images): Fraction(n, denominator)
+                      for images, n in numerators.items() if n}
+        return out
 
     @classmethod
     def zero(cls, degree: int) -> "GroupRingElement":
@@ -259,18 +315,10 @@ class GroupRingElement:
     def __mul__(self, other) -> "GroupRingElement":
         if isinstance(other, GroupRingElement):
             self._require_same_degree(other)
-            data: dict[Permutation, Fraction] = {}
-            for p, cp in self._terms.items():
-                for q, cq in other._terms.items():
-                    s = p * q
-                    merged = data.get(s, Fraction(0)) + cp * cq
-                    if merged:
-                        data[s] = merged
-                    else:
-                        data.pop(s, None)
-            out = GroupRingElement(self._degree)
-            out._terms = data
-            return out
+            left, left_den = _numerators(self._terms)
+            right, right_den = _numerators(other._terms)
+            return GroupRingElement._from_numerators(
+                self._degree, _convolve(left, right), left_den * right_den)
         if isinstance(other, (int, str, Fraction)):
             return self.scale(other)
         return NotImplemented

@@ -11,7 +11,13 @@ from itertools import permutations as _subset_orders, product as _product
 from math import factorial
 from typing import Iterable, Mapping
 
-from .symgroup import DEGREE_CAP, GroupRingElement, Permutation, _check_cap
+from .symgroup import (
+    DEGREE_CAP,
+    GroupRingElement,
+    Permutation,
+    _check_cap,
+    _convolve,
+)
 
 #: Partition enumeration cap; p(12) = 77 keeps things instant.
 PARTITION_CAP = 12
@@ -245,7 +251,7 @@ def _block_permutations(degree: int, blocks: Iterable[Iterable[int]]) -> list[Pe
         for positions, targets in zip(block_lists, combo):
             for pos, img in zip(positions, targets):
                 images[pos - 1] = img
-        out.append(Permutation(images))
+        out.append(Permutation._unchecked(tuple(images)))
     return out
 
 
@@ -256,18 +262,10 @@ def young_symmetrizer(tableau: YoungTableau, cap: int = DEGREE_CAP) -> GroupRing
     """
     r = tableau.size
     _check_cap(r, cap)
-    horizontal = _block_permutations(r, tableau.rows)
-    vertical = _block_permutations(r, tableau.columns())
-    terms: dict[Permutation, Fraction] = {}
-    for p in horizontal:
-        for q in vertical:
-            s = p * q
-            merged = terms.get(s, Fraction(0)) + q.sign()
-            if merged:
-                terms[s] = merged
-            else:
-                terms.pop(s, None)
-    return GroupRingElement(r, terms)
+    horizontal = [(p.images, 1) for p in _block_permutations(r, tableau.rows)]
+    vertical = [(q.images, q.sign())
+                for q in _block_permutations(r, tableau.columns())]
+    return GroupRingElement._from_numerators(r, _convolve(horizontal, vertical))
 
 
 def curvature_tableau() -> YoungTableau:

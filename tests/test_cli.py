@@ -97,6 +97,23 @@ def test_decompose_round_trips(curvature_file, tmp_path, capsys, mode):
     assert CurvatureDecomposition.from_json_dict(payload).reconstruct() == t
 
 
+@pytest.mark.parametrize("mode", ["mixed", "gamma", "alpha"])
+def test_decompose_reconstructs_once(curvature_file, tmp_path, monkeypatch, mode):
+    from symcurv import CurvatureDecomposition
+    calls = []
+    original = CurvatureDecomposition.reconstruct
+
+    def counting(self):
+        calls.append(self.kind)
+        return original(self)
+
+    monkeypatch.setattr(CurvatureDecomposition, "reconstruct", counting)
+    path, _ = curvature_file
+    assert main(["decompose", str(path), "--mode", mode,
+                 "--out", str(tmp_path / "dec.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_decompose_to_stdout(curvature_file, capsys):
     path, _ = curvature_file
     assert main(["decompose", str(path), "--mode", "alpha"]) == 0
@@ -203,6 +220,14 @@ def test_osserman_demo_nilpotent_families(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["osserman", "demo", "--family", "nilpotent-alpha"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_osserman_demo_negative_fractions_after_a_space(capsys):
+    assert main(["osserman", "demo", "--l0", "-4/3", "--l1", "-1/2",
+                 "--json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["osserman", "demo", "--l0=-4/3", "--l1=-1/2", "--json"]) == 0
+    assert capsys.readouterr().out == spaced
 
 
 def test_osserman_demo_json(capsys):

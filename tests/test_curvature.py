@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import symcurv.curvature as curvature_module
 from symcurv import (
+    CriteriaDisagreement,
+    CurvatureCheck,
     CurvatureDecomposition,
     DenseTensor,
     NotACurvatureTensor,
@@ -222,6 +225,51 @@ def test_decompose_rejects_non_curvature():
         decompose_pure(t, "gamma")
     with pytest.raises(ValueError):
         decompose_pure(rand_curvature(rng, 2), "both")
+
+
+def test_rejected_tensor_is_checked_once(monkeypatch):
+    calls = []
+    original = curvature_module.check_curvature
+
+    def counting(tensor):
+        calls.append(tensor)
+        return original(tensor)
+
+    monkeypatch.setattr(curvature_module, "check_curvature", counting)
+    rng = random.Random(44)
+    s = rand_symmetric(rng, 2)
+    t = tensor_product(s, s)
+    for decompose in (decompose_mixed,
+                      lambda x: decompose_pure(x, "gamma"),
+                      lambda x: decompose_pure(x, "alpha")):
+        calls.clear()
+        with pytest.raises(NotACurvatureTensor,
+                           match="antisymmetry in the first index pair"):
+            decompose(t)
+        assert len(calls) == 1
+
+
+def test_forced_criteria_disagreement_raises(monkeypatch):
+    zero = DenseTensor.zeros(4, 2)
+    for verdict in (CurvatureCheck(True, False, None, 0),
+                    CurvatureCheck(False, True, "first Bianchi identity", 1)):
+        monkeypatch.setattr(curvature_module, "check_curvature",
+                            lambda tensor, verdict=verdict: verdict)
+        with pytest.raises(CriteriaDisagreement):
+            is_algebraic_curvature(zero)
+        with pytest.raises(CriteriaDisagreement):
+            decompose_mixed(zero)
+        with pytest.raises(CriteriaDisagreement):
+            decompose_pure(zero, "gamma")
+
+
+def test_pure_gamma_terms_all_contribute():
+    rng = random.Random(45)
+    for n in (3, 4, 5):
+        t = rand_curvature(rng, n)
+        d = decompose_pure(t, "gamma")
+        assert all(not gamma(term.matrix).is_zero for term in d.gamma_terms)
+        assert d.reconstruct() == t
 
 
 def test_decomposition_weights_positive_and_signs():

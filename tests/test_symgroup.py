@@ -161,6 +161,54 @@ def test_distributivity(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def _reference_product(a, b):
+    """The module docstring's convolution, summed as Fractions keyed by
+    one-line image tuples."""
+    sums = {}
+    for p, cp in a.items():
+        for q, cq in b.items():
+            s = tuple(p.images[i - 1] for i in q.images)
+            sums[s] = sums.get(s, Fraction(0)) + cp * cq
+    return GroupRingElement(a.degree, [(Permutation(s), c) for s, c in sums.items()])
+
+
+_mixed_coeffs = st.builds(Fraction,
+                          st.integers(min_value=-30, max_value=30),
+                          st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35]))
+
+
+@st.composite
+def _factor_pairs(draw):
+    """Two elements of one degree in 1..5; in some draws (flagged) they are
+    ``x * (1 + t)`` and ``(1 - t) * y`` for a transposition ``t``, whose
+    product cancels to 0."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    term = st.tuples(st.permutations(list(range(1, degree + 1))), _mixed_coeffs)
+    element = st.builds(GroupRingElement, st.just(degree),
+                        st.lists(term, min_size=0, max_size=8))
+    a, b = draw(element), draw(element)
+    cancels = degree > 1 and draw(st.booleans())
+    if cancels:
+        i, j = draw(st.lists(st.integers(1, degree), min_size=2, max_size=2,
+                             unique=True))
+        t = Permutation.from_cycles(degree, (i, j))
+        one = Permutation.identity(degree)
+        a = _reference_product(a, GroupRingElement(degree, [(one, 1), (t, 1)]))
+        b = _reference_product(GroupRingElement(degree, [(one, 1), (t, -1)]), b)
+    return a, b, cancels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_pairs())
+def test_product_matches_reference_convolution(case):
+    a, b, cancels = case
+    product = a * b
+    assert product == _reference_product(a, b)
+    assert product.is_zero or not cancels
+    assert all(c != 0 for _, c in product.items())
+    assert star(product) == star(b) * star(a)
+
+
 # ----------------------------------------------------------------- linear solve
 
 def test_solve_identity_left_factor():

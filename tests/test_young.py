@@ -1,5 +1,7 @@
 """Partitions, tableaux, symmetrizers, derivative idempotents."""
 
+import itertools
+
 import pytest
 
 from symcurv import (
@@ -105,6 +107,30 @@ def test_symmetrizer_single_row_and_column():
                                        (Permutation([2, 1]), -1)])
 
 
+def test_symmetrizer_matches_definition():
+    # sum over p in H, q in V of sign(q) * (p o q), with H, V and the sign
+    # computed here from scratch
+    for r in range(1, 6):
+        perms = list(itertools.permutations(range(1, r + 1)))
+
+        def preserving(blocks):
+            return [p for p in perms
+                    if all(p[i - 1] in block for block in blocks for i in block)]
+
+        for lam in partitions_of(r):
+            for t in standard_tableaux(lam):
+                sums = {}
+                for p in preserving(t.rows):
+                    for q in preserving(t.columns()):
+                        inversions = sum(q[i] > q[j] for i in range(r)
+                                         for j in range(i + 1, r))
+                        s = tuple(p[i - 1] for i in q)
+                        sums[s] = sums.get(s, 0) + (-1) ** inversions
+                expected = GroupRingElement(
+                    r, [(Permutation(s), c) for s, c in sums.items()])
+                assert young_symmetrizer(t) == expected
+
+
 def test_symmetrizer_essential_idempotency():
     # y*y = k*y with k * (number of standard tableaux) = r!
     for r in range(1, 6):
@@ -128,7 +154,7 @@ def test_symmetrizer_star_support():
 
 def test_derivative_idempotents():
     from fractions import Fraction
-    for u, expected_degree in ((0, 4), (1, 5), (2, 6)):
+    for u, expected_degree in ((0, 4), (1, 5), (2, 6), (3, 7)):
         e = derivative_idempotent(u)
         assert e.degree == expected_degree
         assert e * e == e
