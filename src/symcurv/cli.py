@@ -63,7 +63,7 @@ def _load_tensor(path: str, expect_order: int | None = None) -> DenseTensor:
     payload = _load_json(path)
     try:
         tensor = DenseTensor.from_json_dict(payload)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise _InputError(f"{path}: invalid tensor JSON: {err}")
     if expect_order is not None and tensor.order != expect_order:
         raise _InputError(
@@ -77,7 +77,7 @@ def _load_metric(path: str) -> Metric:
     payload = _load_json(path)
     try:
         return Metric.from_json_dict(payload)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise _InputError(f"{path}: invalid metric JSON: {err}")
 
 
@@ -158,7 +158,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_schur_lr(args) -> int:
-    result = lr_product(_parse_partition(args.lam), _parse_partition(args.mu))
+    try:
+        result = lr_product(_parse_partition(args.lam), _parse_partition(args.mu))
+    except ValueError as err:
+        raise _InputError(f"schur lr: {err}")
     if args.json:
         _emit_json(result.to_json_dict())
     else:
@@ -167,7 +170,10 @@ def cmd_schur_lr(args) -> int:
 
 
 def cmd_schur_plethysm(args) -> int:
-    result = plethysm_sym2(args.n)
+    try:
+        result = plethysm_sym2(args.n)
+    except ValueError as err:
+        raise _InputError(f"schur plethysm: {err}")
     if args.kind == "alt2":
         result = plethysm_transpose(result)
     if args.json:

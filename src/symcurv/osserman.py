@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._exact import exact
+from ._exact import exact, row_reduce
 from .curvature import NotACurvatureTensor, alpha, gamma, is_algebraic_curvature
 from .tensor_ops import DenseTensor
 
@@ -30,44 +30,6 @@ Vector = tuple[Fraction, ...]
 
 class SignatureError(ValueError):
     """A construction was requested in a signature where it cannot exist."""
-
-
-def _as_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    if isinstance(matrix, DenseTensor):
-        if matrix.order != 2:
-            raise ValueError(f"order-2 tensor required, got order {matrix.order}")
-        matrix = matrix.to_nested()
-    rows = tuple(tuple(exact(v) for v in row) for row in matrix)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square and nonempty")
-    return rows
-
-
-def _mat_mul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_invert(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by Gauss-Jordan; ValueError when singular."""
-    n = len(rows)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular over the rationals")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                factor = work[i][col]
-                work[i] = [u - factor * v for u, v in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 def _signature_of(rows) -> tuple[int, int]:
@@ -113,7 +75,13 @@ class LinearMap:
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        self._rows = _as_rows(rows)
+        if isinstance(rows, DenseTensor):
+            if rows.order != 2:
+                raise ValueError(f"order-2 tensor required, got order {rows.order}")
+            rows = rows.to_nested()
+        self._rows = tuple(tuple(exact(v) for v in row) for row in rows)
+        if not self._rows or any(len(row) != len(self._rows) for row in self._rows):
+            raise ValueError("matrix must be square and nonempty")
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
@@ -145,7 +113,11 @@ class LinearMap:
         if not isinstance(other, LinearMap):
             return NotImplemented
         self._require_same_dim(other)
-        return LinearMap(_mat_mul(self._rows, other._rows))
+        columns = tuple(zip(*other._rows))
+        return LinearMap(tuple(
+            tuple(sum(a * b for a, b in zip(row, column)) for column in columns)
+            for row in self._rows
+        ))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if not isinstance(other, LinearMap):
@@ -197,18 +169,20 @@ class LinearMap:
 class Metric:
     """A symmetric, exactly invertible rational matrix with cached inverse."""
 
-    __slots__ = ("_rows", "_inverse", "_signature")
+    __slots__ = ("_matrix", "_inverse", "_signature")
 
     def __init__(self, matrix):
-        rows = _as_rows(matrix)
-        n = len(rows)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("metric matrix must be symmetric")
-        self._rows = rows
-        self._inverse = _mat_invert(rows)
-        self._signature = _signature_of(rows)
+        matrix = LinearMap(matrix)
+        if matrix.transpose() != matrix:
+            raise ValueError("metric matrix must be symmetric")
+        n = matrix.dim
+        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+                for i, row in enumerate(matrix.rows)]
+        if len(row_reduce(work, n)) < n:
+            raise ValueError("matrix is singular over the rationals")
+        self._matrix = matrix
+        self._inverse = LinearMap([row[n:] for row in work])
+        self._signature = _signature_of(matrix.rows)
 
     @classmethod
     def standard(cls, p: int, q: int) -> "Metric":
@@ -221,15 +195,15 @@ class Metric:
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return self._matrix.dim
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return self._matrix.rows
 
     @property
     def inverse_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._inverse
+        return self._inverse.rows
 
     @property
     def signature(self) -> tuple[int, int]:
@@ -238,9 +212,10 @@ class Metric:
     @property
     def is_standard_form(self) -> bool:
         p, _ = self._signature
+        rows = self._matrix.rows
         n = self.dim
         return all(
-            self._rows[i][j] == (0 if i != j else (1 if i < p else -1))
+            rows[i][j] == (0 if i != j else (1 if i < p else -1))
             for i in range(n) for j in range(n)
         )
 
@@ -250,22 +225,21 @@ class Metric:
         n = self.dim
         if len(xv) != n or len(yv) != n:
             raise ValueError(f"vectors must have dimension {n}")
-        return sum(xv[i] * self._rows[i][j] * yv[j]
-                   for i in range(n) for j in range(n) if self._rows[i][j])
+        rows = self._matrix.rows
+        return sum(xv[i] * rows[i][j] * yv[j]
+                   for i in range(n) for j in range(n) if rows[i][j])
 
     def tensor(self) -> DenseTensor:
         """The metric as an order-2 tensor (symmetric, so gamma applies)."""
-        return DenseTensor.from_nested([list(row) for row in self._rows])
+        return DenseTensor.from_nested(self._matrix.to_nested())
 
     def raise_form(self, form: DenseTensor) -> LinearMap:
         """The map C with ``g(C x, y) == B(x, y)``."""
-        rows = _as_rows(form)
-        if len(rows) != self.dim:
-            raise ValueError(f"form dimension {len(rows)} != metric dimension {self.dim}")
-        n = self.dim
+        b = LinearMap(form)
+        if b.dim != self.dim:
+            raise ValueError(f"form dimension {b.dim} != metric dimension {self.dim}")
         # matrix of C is (B g^{-1})^T
-        bg = _mat_mul(rows, self._inverse)
-        return LinearMap(tuple(tuple(bg[j][i] for j in range(n)) for i in range(n)))
+        return (b @ self._inverse).transpose()
 
     def lower_map(self, mapping: LinearMap) -> DenseTensor:
         """The form B with ``B(x, y) == g(C x, y)``; inverse of raise_form."""
@@ -273,17 +247,15 @@ class Metric:
             raise ValueError(
                 f"map dimension {mapping.dim} != metric dimension {self.dim}"
             )
-        b = _mat_mul(mapping.transpose().rows, self._rows)
-        return DenseTensor.from_nested([list(row) for row in b])
+        return DenseTensor.from_nested((mapping.transpose() @ self._matrix).to_nested())
 
     def is_skew_map(self, mapping: LinearMap) -> bool:
         """Skew as a map: the lowered form is skew-symmetric."""
-        b = _mat_mul(self._rows, mapping.rows)
-        n = self.dim
-        return all(b[i][j] == -b[j][i] for i in range(n) for j in range(i, n))
+        b = self._matrix @ mapping
+        return b.transpose() == -b
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Metric) and self._rows == other._rows
+        return isinstance(other, Metric) and self._matrix == other._matrix
 
     def __repr__(self) -> str:
         p, q = self._signature
@@ -293,7 +265,7 @@ class Metric:
         if self.is_standard_form:
             p, q = self._signature
             return {"p": p, "q": q}
-        return {"matrix": [[str(v) for v in row] for row in self._rows]}
+        return {"matrix": [[str(v) for v in row] for row in self.rows]}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Metric":
@@ -319,21 +291,16 @@ def jacobi_operator(tensor: DenseTensor, g: Metric,
     if len(xv) != n:
         raise ValueError(f"vector length {len(xv)} != dimension {n}")
     xx = [[xv[b] * xv[c] for c in range(n)] for b in range(n)]
+    # contracted[d][a] = T(a, x, x, d), so J = g^{-1} @ contracted
     contracted = [
         [
             sum(tensor[(a, b, c, d)] * xx[b][c]
                 for b in range(n) for c in range(n) if xx[b][c])
-            for d in range(n)
+            for a in range(n)
         ]
-        for a in range(n)
+        for d in range(n)
     ]
-    ginv = g.inverse_rows
-    rows = tuple(
-        tuple(sum(ginv[e][d] * contracted[a][d] for d in range(n))
-              for a in range(n))
-        for e in range(n)
-    )
-    return LinearMap(rows)
+    return g._inverse @ LinearMap(contracted)
 
 
 def _outer(u: Vector, w: Vector) -> LinearMap:
@@ -349,9 +316,7 @@ def jacobi_gamma_closed(s: DenseTensor, g: Metric,
     c = g.raise_form(s)
     xv = tuple(exact(v) for v in x)
     u = c(xv)
-    gx = tuple(sum(g.rows[i][j] * xv[j] for j in range(g.dim))
-               for i in range(g.dim))
-    w = c.transpose()(gx)  # w . y == g(Cy, x)
+    w = c.transpose()(g._matrix(xv))  # w . y == g(Cy, x)
     return (c.scale(g.inner(u, xv)) - _outer(u, w)).scale(Fraction(1, 3))
 
 
@@ -364,9 +329,7 @@ def jacobi_alpha_closed(a: DenseTensor, g: Metric,
     c = g.raise_form(a)
     xv = tuple(exact(v) for v in x)
     u = c(xv)
-    gx = tuple(sum(g.rows[i][j] * xv[j] for j in range(g.dim))
-               for i in range(g.dim))
-    w = c.transpose()(gx)
+    w = c.transpose()(g._matrix(xv))
     return _outer(u, w)
 
 
@@ -756,7 +719,7 @@ def lorentz_checks(q: int, trials: int, samples: int = 20,
         raise ValueError(f"q must be >= 1, got {q}")
     m = 1 + q
     g = Metric.standard(1, q)
-    f_rows = g.rows
+    f = LinearMap(g.rows)
     rng = random.Random(seed)
     skew_ok = True
     for _ in range(trials):
@@ -769,8 +732,8 @@ def lorentz_checks(q: int, trials: int, samples: int = 20,
                         entries[(i, j)] = value
                         entries[(j, i)] = -value
         a = DenseTensor.from_entries(2, m, entries)
-        af = _mat_mul(_as_rows(a), f_rows)
-        if all(not v for row in _mat_mul(af, af) for v in row):
+        af = LinearMap(a) @ f
+        if (af @ af).is_zero:
             skew_ok = False
     s = nilpotent_sym_example(1, q)
     t = gamma(s)

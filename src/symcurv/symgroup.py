@@ -25,7 +25,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
-from ._exact import exact
+from ._exact import exact, row_reduce
 
 #: Default bound on the group degree.  Supports grow like r!, so anything
 #: past 8 (40320 permutations) stops being desk-scale; callers who really
@@ -385,11 +385,13 @@ def solve_right_factor(
 ) -> GroupRingElement | None:
     """Solve ``a * x == c`` exactly; ``None`` when no solution exists.
 
-    Row-reduces the r! x r! matrix of left multiplication by ``a`` over the
-    rationals, pivoting on the first nonzero entry per column, so the result
-    is deterministic.  Any exact solution is acceptable to callers; no
-    canonical representative is attempted.  Cost grows like (r!)^3 --
-    practical for r <= 5 and easily for the r = 4 uses in this package.
+    Row-reduces the r! x r! matrix of left multiplication by ``a``, augmented
+    by ``c``, with the package's one Gauss-Jordan kernel
+    (``_exact.row_reduce``, which pivots on the first nonzero entry per
+    column, so the result is deterministic).  Any exact solution is
+    acceptable to callers; no canonical representative is attempted.  Cost
+    grows like (r!)^3 -- practical for r <= 5 and easily for the r = 4 uses
+    in this package.
     """
     if a.degree != c.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {c.degree}")
@@ -405,31 +407,9 @@ def solve_right_factor(
         row.append(c.coefficient(s))
         rows.append(row)
 
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, n):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [v / pivot for v in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [u - factor * v for u, v in zip(rows[i], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == n:
-            break
-
-    for i in range(rank, n):
-        if rows[i][n]:
-            return None
+    pivot_cols = row_reduce(rows, n)
+    if any(row[n] for row in rows[len(pivot_cols):]):
+        return None
     solution = {
         group[col]: rows[i][n]
         for i, col in enumerate(pivot_cols)

@@ -53,7 +53,8 @@ class DenseTensor:
         strides = [dim ** (order - 1 - k) for k in range(order)]
         for idx, value in entries.items():
             idx = tuple(idx)
-            if len(idx) != order or any(not 0 <= i < dim for i in idx):
+            if len(idx) != order or any(isinstance(i, bool) or not 0 <= i < dim
+                                        for i in idx):
                 raise ValueError(f"index {idx} out of range for order {order}, dim {dim}")
             data[sum(i * s for i, s in zip(idx, strides))] = exact(value)
         return cls(order, dim, data)

@@ -80,6 +80,36 @@ def test_wrong_order_tensor_is_an_input_error(tmp_path, capsys):
     assert "order-4" in capsys.readouterr().err
 
 
+def test_zero_denominator_is_an_input_error(tmp_path, capsys):
+    tensor_path = tmp_path / "t.json"
+    tensor_path.write_text(json.dumps({
+        "order": 4, "dim": 2,
+        "entries": [{"idx": [0, 1, 0, 1], "value": "1/0"}]}))
+    assert main(["check-curvature", str(tensor_path)]) == 2
+    assert "invalid tensor JSON" in capsys.readouterr().err
+
+    good_tensor = tmp_path / "good.json"
+    good_tensor.write_text(json.dumps(
+        gamma(Metric.standard(2, 0).tensor()).to_json_dict()))
+    metric_path = tmp_path / "g.json"
+    metric_path.write_text(json.dumps({"matrix": [["1/0", "0"], ["0", "1"]]}))
+    assert main(["osserman", "spectrum", "--tensor", str(good_tensor),
+                 "--metric", str(metric_path)]) == 2
+    assert "invalid metric JSON" in capsys.readouterr().err
+
+
+def test_boolean_index_is_an_input_error(tmp_path, capsys):
+    from symcurv import DenseTensor
+    with pytest.raises(ValueError):
+        DenseTensor.from_entries(4, 2, {(True, 0, 0, 1): 1})
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "order": 4, "dim": 2,
+        "entries": [{"idx": [True, 0, 0, 1], "value": "1"}]}))
+    assert main(["check-curvature", str(path)]) == 2
+    assert "invalid tensor JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["mixed", "gamma", "alpha"])
 def test_decompose_round_trips(curvature_file, tmp_path, capsys, mode):
     path, t = curvature_file
@@ -147,6 +177,18 @@ def test_schur_plethysm_outputs(capsys):
 def test_schur_bad_partition(capsys):
     assert main(["schur", "lr", "1,2", "1"]) == 2
     assert "partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "lr", "9", "1"],
+    ["schur", "plethysm", "sym2", "7"],
+    ["schur", "plethysm", "sym2", "0"],
+])
+def test_schur_out_of_range_is_an_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: schur ")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_schur_unknown_subcommand():

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symcurv import (
     DenseTensor,
@@ -70,6 +72,88 @@ def test_custom_metric_signature_and_inverse():
     product = [[sum(g.rows[i][k] * inv[k][j] for k in range(2))
                 for j in range(2)] for i in range(2)]
     assert product == [[1, 0], [0, 1]]
+
+
+def _sympy_rows(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                         for row in rows])
+
+
+def test_inverse_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(63)
+    checked = 0
+    while checked < 30:
+        rows = rand_symmetric(rng, rng.randint(1, 6)).to_nested()
+        reference = _sympy_rows(sympy, rows)
+        if reference.det() == 0:
+            continue
+        assert _sympy_rows(sympy, Metric(rows).inverse_rows) == reference.inv()
+        checked += 1
+
+
+def test_singular_input_rejected_like_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(64)
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        # sum of k < n rank-one symmetric terms: rank at most k
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for _ in range(rng.randint(1, n - 1)):
+            v = rand_vector(rng, n)
+            weight = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += weight * v[i] * v[j]
+        with pytest.raises(ValueError):
+            _sympy_rows(sympy, rows).inv()
+        with pytest.raises(ValueError, match="singular"):
+            Metric(rows)
+
+
+def _det(rows):
+    """Leibniz determinant: small matrices only."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def _congruent(p, d):
+    """P^T diag(d) P."""
+    n = len(d)
+    return [[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+_small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _basis_changes(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.lists(_small_fractions.filter(bool), min_size=n, max_size=n))
+    p = draw(st.lists(st.lists(_small_fractions, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    return p, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(_basis_changes())
+# -> [[0, 1], [1, 0]]: no nonzero diagonal entry, the "add" branch
+@example(([[Fraction(1, 2), 1], [Fraction(-1, 2), 1]], [1, -1]))
+# -> [[0, 1], [1, 1]]: a later nonzero diagonal entry, the "swap" branch
+@example(([[1, 1], [1, 0]], [1, -1]))
+def test_signature_invariant_under_congruence(case):
+    p, d = case
+    assume(_det(p) != 0)
+    expected = (sum(v > 0 for v in d), sum(v < 0 for v in d))
+    assert Metric(_congruent(p, d)).signature == expected
 
 
 def test_raise_lower_round_trip_both_directions():

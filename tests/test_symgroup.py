@@ -1,5 +1,6 @@
 """Group-ring arithmetic: composition, convolution, star, linear solving."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,12 @@ from symcurv import (
     solve_right_factor,
     star,
 )
-from symcurv.young import curvature_tableau, young_symmetrizer
+from symcurv.young import (
+    curvature_tableau,
+    partitions_of,
+    standard_tableaux,
+    young_symmetrizer,
+)
 
 from helpers import rand_ring_element
 
@@ -240,6 +246,59 @@ def test_solve_random_consistency():
         found = solve_right_factor(a, c)
         assert found is not None
         assert a * found == c
+
+
+def _left_multiplication(a, r):
+    """Matrix of x -> a*x on the basis of one-line tuples, built here from
+    pointwise composition: entry (s, q) is a(s q^-1)."""
+    group = list(itertools.permutations(range(1, r + 1)))
+    coeffs = {p.images: c for p, c in a.items()}
+    rows = []
+    for s in group:
+        row = []
+        for q in group:
+            q_inv = [0] * r
+            for i, image in enumerate(q):
+                q_inv[image - 1] = i + 1
+            row.append(coeffs.get(tuple(s[q_inv[i] - 1] for i in range(r)), 0))
+        rows.append(row)
+    return group, rows
+
+
+def _rational(sympy, value):
+    value = Fraction(value)
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def test_solve_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6)
+    solvable_seen = unsolvable_seen = 0
+    cases = itertools.product((1, 2, 3, 4), ("symmetrizer", "random"), (True, False))
+    for r, kind, in_image in cases:
+        if kind == "symmetrizer":
+            shape = rng.choice(partitions_of(r))
+            a = young_symmetrizer(rng.choice(standard_tableaux(shape)))
+        else:
+            a = rand_ring_element(rng, r, terms=rng.randint(1, 3))
+        c = a * rand_ring_element(rng, r) if in_image else rand_ring_element(rng, r)
+        group, rows = _left_multiplication(a, r)
+        matrix = sympy.Matrix([[_rational(sympy, v) for v in row] for row in rows])
+        rhs = sympy.Matrix([_rational(sympy, c.coefficient(Permutation(s)))
+                            for s in group])
+        try:
+            matrix.gauss_jordan_solve(rhs)
+            sympy_solvable = True
+        except ValueError:
+            sympy_solvable = False
+        found = solve_right_factor(a, c)
+        assert (found is not None) == sympy_solvable
+        if found is not None:
+            assert a * found == c
+            solvable_seen += 1
+        else:
+            unsolvable_seen += 1
+    assert solvable_seen and unsolvable_seen
 
 
 # ------------------------------------------------------------------- JSON form
