@@ -81,6 +81,13 @@ def _load_metric(path: str) -> Metric:
         raise _InputError(f"{path}: invalid metric JSON: {err}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sample and trial counts."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_partition(text: str) -> Partition:
     try:
         return Partition.from_text(text)
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--tensor", required=True)
     spectrum.add_argument("--metric", required=True)
     spectrum.add_argument("--sign", choices=("+", "-"), default="+")
-    spectrum.add_argument("--count", type=int, default=10)
+    spectrum.add_argument("--count", type=_positive_int, default=10)
     spectrum.add_argument("--seed", type=int, default=0)
     spectrum.add_argument("--json", action="store_true")
     spectrum.set_defaults(func=cmd_osserman_spectrum)
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     nilpotent.add_argument("--kind", choices=("sym", "skew"), default="sym")
     nilpotent.add_argument("--p", type=int, required=True)
     nilpotent.add_argument("--q", type=int, required=True)
-    nilpotent.add_argument("--samples", type=int, default=20)
+    nilpotent.add_argument("--samples", type=_positive_int, default=20)
     nilpotent.add_argument("--seed", type=int, default=0)
     nilpotent.add_argument("--json", action="store_true")
     nilpotent.set_defaults(func=cmd_osserman_nilpotent)
@@ -356,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     lorentz = osserman_sub.add_parser("lorentz",
                                       help="signature (1,q) rigidity checks")
     lorentz.add_argument("--q", type=int, required=True)
-    lorentz.add_argument("--trials", type=int, default=50)
-    lorentz.add_argument("--samples", type=int, default=20)
+    lorentz.add_argument("--trials", type=_positive_int, default=50)
+    lorentz.add_argument("--samples", type=_positive_int, default=20)
     lorentz.add_argument("--seed", type=int, default=0)
     lorentz.add_argument("--json", action="store_true")
     lorentz.set_defaults(func=cmd_osserman_lorentz)
@@ -368,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="clifford")
     demo.add_argument("--l0", type=Fraction, default=Fraction(2))
     demo.add_argument("--l1", type=Fraction, default=Fraction(1))
-    demo.add_argument("--count", type=int, default=10)
-    demo.add_argument("--samples", type=int, default=20)
+    demo.add_argument("--count", type=_positive_int, default=10)
+    demo.add_argument("--samples", type=_positive_int, default=20)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--json", action="store_true")
     demo.set_defaults(func=cmd_osserman_demo)

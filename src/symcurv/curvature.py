@@ -7,16 +7,19 @@ last three slots vanishes).  Equivalently -- and the equivalence is checked
 at runtime -- ``T`` satisfies ``ystar T == 12 T`` for the starred Young
 symmetrizer of the (2,2) tableau ``[[1,3],[2,4]]``.
 
-Two quadratic constructors produce such tensors from order-2 data:
+Two quadratic constructors produce such tensors from order-2 data; each is
+a group-ring element of S4 applied to a tensor square (the closed formulas
+are in their docstrings):
 
-* ``gamma(S)[i,j,k,l] = (S[i,l]S[j,k] - S[i,k]S[j,l]) / 3``, S symmetric,
-* ``alpha(A)[i,j,k,l] = (2A[i,j]A[k,l] + A[i,k]A[j,l] - A[i,l]A[j,k]) / 3``,
-  A skew,
+* ``gamma(S) = (1/3)([1,4,2,3] - [1,3,2,4]) (S (x) S)``, S symmetric,
+* ``alpha(A) = (1/3)(2 id + [1,3,2,4] - [1,4,2,3]) (A (x) A)``, A skew,
 
 and every algebraic curvature tensor is a signed rational combination of
-gammas and alphas.  The three ``decompose_*`` functions compute such
-combinations constructively and verify the reconstruction exactly before
-returning.
+gammas and alphas.  The direct membership test applies elements too: the
+annihilators ``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]``
+and the Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The three
+``decompose_*`` functions compute such combinations constructively and
+verify the reconstruction exactly before returning.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .tensor_ops import (
     apply_symmetry_operator,
     slice_pairs,
     sym_split,
+    tensor_product,
 )
 from .young import curvature_tableau, young_symmetrizer
 
@@ -79,22 +83,26 @@ def _ring(*terms) -> GroupRingElement:
     return GroupRingElement(4, terms)
 
 
+_ID, _T12, _T34, _SWAP = [1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 4, 3], [3, 4, 1, 2]
+_GAMMA = _ring(([1, 4, 2, 3], "1/3"), ([1, 3, 2, 4], "-1/3"))
+_ALPHA = _ring((_ID, "2/3"), ([1, 3, 2, 4], "1/3"), ([1, 4, 2, 3], "-1/3"))
+_BIANCHI = _ring((_ID, 1), ([1, 3, 4, 2], 1), ([1, 4, 2, 3], 1))
+_DIRECT_CONDITIONS = (
+    ("antisymmetry in the first index pair", _ring((_ID, 1), (_T12, 1))),
+    ("antisymmetry in the second index pair", _ring((_ID, 1), (_T34, 1))),
+    ("pair-exchange symmetry", _ring((_ID, 1), (_SWAP, -1))),
+)
+
+
 @lru_cache(maxsize=1)
 def canonical_elements() -> CanonicalElements:
     """Build (once) and sanity-check the canonical degree-4 elements."""
-    from .symgroup import Permutation
-
-    identity = Permutation.identity(4)
-    swap_pairs = Permutation.from_cycles(4, (1, 3), (2, 4))
-    t12 = Permutation.from_cycles(4, (1, 2))
-    t34 = Permutation.from_cycles(4, (3, 4))
-
     y = young_symmetrizer(curvature_tableau())
     ystar = y.star()
-    swap_sym = _ring((identity, 1), (swap_pairs, 1))
+    swap_sym = _ring((_ID, 1), (_SWAP, 1))
     swap_proj = swap_sym.scale(Fraction(1, 2))
-    pair_sym = _ring((identity, 1), (t12, 1)) * _ring((identity, 1), (t34, 1))
-    pair_skew = _ring((identity, 1), (t12, -1)) * _ring((identity, 1), (t34, -1))
+    pair_sym = _ring((_ID, 1), (_T12, 1)) * _ring((_ID, 1), (_T34, 1))
+    pair_skew = _ring((_ID, 1), (_T12, -1)) * _ring((_ID, 1), (_T34, -1))
     gamma_gen = ystar * swap_sym * pair_sym
     alpha_gen = ystar * swap_sym * pair_skew
 
@@ -140,25 +148,14 @@ def gamma(s: DenseTensor) -> DenseTensor:
     """Curvature tensor of a symmetric matrix:
     ``gamma(S)[i,j,k,l] = (S[i,l]S[j,k] - S[i,k]S[j,l]) / 3``."""
     _require_symmetric(s)
-    third = Fraction(1, 3)
-    return DenseTensor.from_function(
-        4, s.dim,
-        lambda x: third * (s[(x[0], x[3])] * s[(x[1], x[2])]
-                           - s[(x[0], x[2])] * s[(x[1], x[3])]),
-    )
+    return apply_symmetry_operator(_GAMMA, tensor_product(s, s))
 
 
 def alpha(a: DenseTensor) -> DenseTensor:
     """Curvature tensor of a skew matrix:
     ``alpha(A)[i,j,k,l] = (2A[i,j]A[k,l] + A[i,k]A[j,l] - A[i,l]A[j,k]) / 3``."""
     _require_skew(a)
-    third = Fraction(1, 3)
-    return DenseTensor.from_function(
-        4, a.dim,
-        lambda x: third * (2 * a[(x[0], x[1])] * a[(x[2], x[3])]
-                           + a[(x[0], x[2])] * a[(x[1], x[3])]
-                           - a[(x[0], x[3])] * a[(x[1], x[2])]),
-    )
+    return apply_symmetry_operator(_ALPHA, tensor_product(a, a))
 
 
 def bianchi_defect(tensor: DenseTensor) -> DenseTensor:
@@ -166,12 +163,7 @@ def bianchi_defect(tensor: DenseTensor) -> DenseTensor:
     first Bianchi identity holds."""
     if tensor.order != 4:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
-    return DenseTensor.from_function(
-        4, tensor.dim,
-        lambda x: (tensor[(x[0], x[1], x[2], x[3])]
-                   + tensor[(x[0], x[2], x[3], x[1])]
-                   + tensor[(x[0], x[3], x[1], x[2])]),
-    )
+    return apply_symmetry_operator(_BIANCHI, tensor)
 
 
 @dataclass(frozen=True)
@@ -197,26 +189,15 @@ class CurvatureCheck:
         }
 
 
-_DIRECT_CONDITIONS = (
-    ("antisymmetry in the first index pair",
-     lambda t, x: t[x] == -t[(x[1], x[0], x[2], x[3])]),
-    ("antisymmetry in the second index pair",
-     lambda t, x: t[x] == -t[(x[0], x[1], x[3], x[2])]),
-    ("pair-exchange symmetry",
-     lambda t, x: t[x] == t[(x[2], x[3], x[0], x[1])]),
-)
-
-
 def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
     """Run the direct symmetry test and the symmetrizer test side by side."""
     if tensor.order != 4:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
     first_violation = None
-    for name, holds in _DIRECT_CONDITIONS:
-        if all(holds(tensor, x) for x in tensor.indices()):
-            continue
-        first_violation = name
-        break
+    for name, annihilator in _DIRECT_CONDITIONS:
+        if not apply_symmetry_operator(annihilator, tensor).is_zero:
+            first_violation = name
+            break
     defect = bianchi_defect(tensor)
     bianchi_nonzero = sum(1 for _ in defect.nonzero_items())
     if first_violation is None and bianchi_nonzero:
@@ -351,20 +332,15 @@ def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]
     for weight, matrix in raw:
         if not weight or matrix.is_zero:
             continue
-        for _, value in matrix.nonzero_items():
-            if value < 0:
-                matrix = -matrix
-            break
-        key = tuple(matrix[idx] for idx in matrix.indices())
-        old = acc.get(key)
-        acc[key] = ((old[0] + weight) if old else weight, matrix)
-    terms = [
+        if next(v for v in matrix._data if v) < 0:
+            matrix = -matrix
+        old = acc.get(matrix._data)
+        acc[matrix._data] = ((old[0] + weight) if old else weight, matrix)
+    return tuple(
         DecompositionTerm(1 if total > 0 else -1, abs(total), matrix)
-        for total, matrix in acc.values()
+        for _, (total, matrix) in sorted(acc.items())
         if total
-    ]
-    terms.sort(key=lambda t: (tuple(t.matrix[i] for i in t.matrix.indices()), t.sign))
-    return tuple(terms)
+    )
 
 
 def _rank_at_most_one(matrix: DenseTensor) -> bool:

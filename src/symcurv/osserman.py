@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from ._exact import exact, row_reduce
 from .curvature import NotACurvatureTensor, alpha, gamma, is_algebraic_curvature
-from .tensor_ops import DenseTensor
+from .symgroup import GroupRingElement, Permutation
+from .tensor_ops import DenseTensor, apply_symmetry_operator
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
@@ -274,6 +275,9 @@ class Metric:
         return cls.standard(int(payload["p"]), int(payload["q"]))
 
 
+_ROTATE = GroupRingElement.from_permutation(Permutation([2, 3, 4, 1]))
+
+
 def jacobi_operator(tensor: DenseTensor, g: Metric,
                     x: Sequence[Scalar]) -> LinearMap:
     """The map J with ``g(J y, w) = T(y, x, x, w)``.
@@ -291,14 +295,13 @@ def jacobi_operator(tensor: DenseTensor, g: Metric,
     if len(xv) != n:
         raise ValueError(f"vector length {len(xv)} != dimension {n}")
     xx = [[xv[b] * xv[c] for c in range(n)] for b in range(n)]
-    # contracted[d][a] = T(a, x, x, d), so J = g^{-1} @ contracted
+    # T permuted by [2,3,4,1] nests as [d][a][b][c] -> T(a, b, c, d); summing
+    # (b, c) against x (x) x gives contracted[d][a] = T(a, x, x, d), so
+    # J = g^{-1} @ contracted
     contracted = [
-        [
-            sum(tensor[(a, b, c, d)] * xx[b][c]
-                for b in range(n) for c in range(n) if xx[b][c])
-            for a in range(n)
-        ]
-        for d in range(n)
+        [sum(v * w for row, xrow in zip(slab, xx) for v, w in zip(row, xrow) if w)
+         for slab in plane]
+        for plane in apply_symmetry_operator(_ROTATE, tensor).to_nested()
     ]
     return g._inverse @ LinearMap(contracted)
 

@@ -8,12 +8,18 @@ composition convention of :mod:`symcurv.symgroup` this is a left action,
 
 Tensor indices are 0-based tuples here and in the JSON form; the 1-based
 numbers inside permutations refer to argument *slots*, not index values.
+
+Entries are stored flat in row-major order, and only this module knows that
+layout.  ``_gather`` is the one place that maps a slot permutation to flat
+positions.  ``transpose`` and ``apply_symmetry_operator`` read through it,
+and every other symmetry operation in the package goes through the latter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _product
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ._exact import exact
@@ -22,14 +28,46 @@ from .symgroup import GroupRingElement, Permutation, enumerate_group
 Scalar = Union[int, str, Fraction]
 
 
+#: Bound on the number of entries ``dim ** order`` of a tensor.  Every entry
+#: is stored, so anything larger is refused before storage is allocated
+#: (orders past ``_ENTRY_CAP.bit_length()`` are refused outright).
+_ENTRY_CAP = 10 ** 6
+
+
+def _check_shape(order: int, dim: int) -> None:
+    if order < 0 or dim < 1:
+        raise ValueError(f"bad shape: order={order}, dim={dim}")
+    if order > _ENTRY_CAP.bit_length() or dim ** order > _ENTRY_CAP:
+        raise ValueError(
+            f"order {order}, dim {dim} exceeds the cap of {_ENTRY_CAP} entries"
+        )
+
+
+def _position(idx: Sequence[int], dim: int) -> int:
+    pos = 0
+    for i in idx:
+        pos = pos * dim + i
+    return pos
+
+
+def _gather(images: Sequence[int], dim: int) -> list[int]:
+    """Flat source position of every flat target position, in row-major
+    order, for the slot permutation ``images``: target ``(i_1..i_r)`` reads
+    source ``(i_{p(1)}..i_{p(r)})``."""
+    stride = {img: dim ** (len(images) - k) for k, img in enumerate(images, 1)}
+    positions = [0]
+    for slot in sorted(stride):
+        positions = [base + i * stride[slot] for base in positions for i in range(dim)]
+    return positions
+
+
 class DenseTensor:
     """An order-r tensor over ``{0..n-1}^r`` with Fraction entries, row-major."""
 
-    __slots__ = ("_order", "_dim", "_data", "_strides")
+    __slots__ = ("_order", "_dim", "_data")
 
     def __init__(self, order: int, dim: int, data: Iterable[Scalar]):
-        if order < 0 or dim < 1:
-            raise ValueError(f"bad shape: order={order}, dim={dim}")
+        _check_shape(order, dim)
         self._order = order
         self._dim = dim
         entries = tuple(exact(v) for v in data)
@@ -39,25 +77,34 @@ class DenseTensor:
                 f"got {len(entries)}"
             )
         self._data = entries
-        self._strides = tuple(dim ** (order - 1 - k) for k in range(order))
+
+    @classmethod
+    def _unchecked(cls, order: int, dim: int,
+                   data: tuple[Fraction, ...]) -> "DenseTensor":
+        """Wrap ``data`` without validation; callers guarantee that it is a
+        tuple of ``dim ** order`` Fractions."""
+        out = cls.__new__(cls)
+        out._order, out._dim, out._data = order, dim, data
+        return out
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "DenseTensor":
-        return cls(order, dim, [0] * (dim ** order))
+        _check_shape(order, dim)
+        return cls._unchecked(order, dim, (Fraction(0),) * dim ** order)
 
     @classmethod
     def from_entries(cls, order: int, dim: int,
                      entries: Mapping[tuple[int, ...], Scalar]) -> "DenseTensor":
         """Build from a sparse ``index tuple -> value`` mapping; rest is zero."""
+        _check_shape(order, dim)
         data = [Fraction(0)] * (dim ** order)
-        strides = [dim ** (order - 1 - k) for k in range(order)]
         for idx, value in entries.items():
             idx = tuple(idx)
             if len(idx) != order or any(isinstance(i, bool) or not 0 <= i < dim
                                         for i in idx):
                 raise ValueError(f"index {idx} out of range for order {order}, dim {dim}")
-            data[sum(i * s for i, s in zip(idx, strides))] = exact(value)
-        return cls(order, dim, data)
+            data[_position(idx, dim)] = exact(value)
+        return cls._unchecked(order, dim, tuple(data))
 
     @classmethod
     def from_function(cls, order: int, dim: int,
@@ -100,15 +147,12 @@ class DenseTensor:
     def dim(self) -> int:
         return self._dim
 
-    def _flat(self, idx: tuple[int, ...]) -> int:
-        return sum(i * s for i, s in zip(idx, self._strides))
-
     def __getitem__(self, idx: tuple[int, ...]) -> Fraction:
         if isinstance(idx, int):
             idx = (idx,)
         if len(idx) != self._order or any(not 0 <= i < self._dim for i in idx):
             raise IndexError(f"bad index {idx} for order {self._order}, dim {self._dim}")
-        return self._data[self._flat(idx)]
+        return self._data[_position(idx, self._dim)]
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         return _product(range(self._dim), repeat=self._order)
@@ -165,9 +209,8 @@ class DenseTensor:
         """Swap the two slots of an order-2 tensor."""
         if self._order != 2:
             raise ValueError(f"transpose is for order 2, got order {self._order}")
-        n = self._dim
-        return DenseTensor(2, n, (self._data[j * n + i]
-                                  for i in range(n) for j in range(n)))
+        return DenseTensor._unchecked(2, self._dim, tuple(
+            map(self._data.__getitem__, _gather((2, 1), self._dim))))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DenseTensor)
@@ -182,14 +225,10 @@ class DenseTensor:
         """Inverse of :meth:`from_nested` (order-0 tensors give a bare Fraction)."""
         if self._order == 0:
             return self._data[0]
-
-        def build(depth: int, offset: int):
-            if depth == self._order - 1:
-                return [self._data[offset + i] for i in range(self._dim)]
-            stride = self._strides[depth]
-            return [build(depth + 1, offset + i * stride) for i in range(self._dim)]
-
-        return build(0, 0)
+        nested = list(self._data)
+        for _ in range(self._order - 1):
+            nested = [nested[k:k + self._dim] for k in range(0, len(nested), self._dim)]
+        return nested
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,14 +257,17 @@ def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTe
         raise ValueError(
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
-    n, r = tensor.dim, tensor.order
-    all_idx = list(_product(range(n), repeat=r))
-    acc = [Fraction(0)] * len(all_idx)
-    for perm, coeff in a.items():
-        slots = [img - 1 for img in perm.images]
-        for pos, idx in enumerate(all_idx):
-            acc[pos] += coeff * tensor[tuple(idx[s] for s in slots)]
-    return DenseTensor(r, n, acc)
+    # integer numerators over one common denominator, one Fraction per entry
+    terms = a.items()
+    den = lcm(*(c.denominator for _, c in terms),
+              *(v.denominator for v in tensor._data))
+    data = [v.numerator * (den // v.denominator) for v in tensor._data]
+    acc = [0] * len(data)
+    for perm, c in terms:
+        c = c.numerator * (den // c.denominator)
+        acc = [s + c * data[j] for s, j in zip(acc, _gather(perm.images, tensor.dim))]
+    return DenseTensor._unchecked(tensor.order, tensor.dim,
+                                  tuple(Fraction(s, den * den) for s in acc))
 
 
 def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:
@@ -234,10 +276,8 @@ def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:
         raise ValueError(f"need two order-2 tensors, got orders {m.order}, {n.order}")
     if m.dim != n.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {n.dim}")
-    d = m.dim
-    return DenseTensor.from_function(
-        4, d, lambda idx: m[(idx[0], idx[1])] * n[(idx[2], idx[3])]
-    )
+    return DenseTensor._unchecked(4, m.dim, tuple(
+        x * y for x in m._data for y in n._data))
 
 
 def to_group_ring(tensor: DenseTensor,
@@ -280,15 +320,9 @@ def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:
     if tensor.order != 4:
         raise ValueError(f"slice_pairs needs order 4, got {tensor.order}")
     n = tensor.dim
-    pairs = []
-    for k in range(n):
-        for l in range(n):
-            slab = DenseTensor.from_function(2, n, lambda ij: tensor[(ij[0], ij[1], k, l)])
-            if slab.is_zero:
-                continue
-            unit = DenseTensor.from_entries(2, n, {(k, l): 1})
-            pairs.append((slab, unit))
-    return pairs
+    slabs = [DenseTensor._unchecked(2, n, tensor._data[kl::n * n]) for kl in range(n * n)]
+    return [(slab, DenseTensor.from_entries(2, n, {divmod(kl, n): 1}))
+            for kl, slab in enumerate(slabs) if not slab.is_zero]
 
 
 def sym_split(m: DenseTensor) -> tuple[DenseTensor, DenseTensor]:

@@ -277,3 +277,28 @@ def test_osserman_demo_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["constant"] is True
     assert payload["all_rational"] is True
+
+
+def test_oversized_tensor_is_refused_before_allocation(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"order": 4, "dim": 1000000, "entries": []}')
+    assert main(["check-curvature", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "cap" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["osserman", "spectrum", "--tensor", "t.json", "--metric", "g.json",
+     "--count", "0"],
+    ["osserman", "demo", "--count", "-3"],
+    ["osserman", "demo", "--samples", "0"],
+    ["osserman", "nilpotent", "--p", "2", "--q", "2", "--samples", "-1"],
+    ["osserman", "lorentz", "--q", "2", "--trials", "-1"],
+    ["osserman", "lorentz", "--q", "2", "--samples", "0"],
+])
+def test_nonpositive_counts_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err

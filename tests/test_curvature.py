@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from symcurv import (
     CurvatureCheck,
     CurvatureDecomposition,
     DenseTensor,
+    Metric,
     NotACurvatureTensor,
     alpha,
     apply_symmetry_operator,
@@ -21,11 +23,19 @@ from symcurv import (
     decompose_pure,
     gamma,
     is_algebraic_curvature,
+    jacobi_operator,
     tensor_product,
     verify_identity_table,
 )
 
-from helpers import rand_curvature, rand_fraction, rand_skew, rand_symmetric, rand_tensor
+from helpers import (
+    rand_curvature,
+    rand_fraction,
+    rand_skew,
+    rand_symmetric,
+    rand_tensor,
+    rand_vector,
+)
 
 
 # ---------------------------------------------------------------- constructors
@@ -37,6 +47,19 @@ def test_gamma_on_identity():
     assert g[(0, 1, 0, 1)] == Fraction(-1, 3)
     assert g[(0, 0, 0, 0)] == 0
     assert is_algebraic_curvature(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma_and_alpha_match_closed_formulas(n):
+    rng = random.Random(30 + n)
+    s = rand_symmetric(rng, n).to_nested()
+    a = rand_skew(rng, n).to_nested()
+    g = gamma(DenseTensor.from_nested(s))
+    al = alpha(DenseTensor.from_nested(a))
+    for i, j, k, l in product(range(n), repeat=4):
+        assert g[(i, j, k, l)] == (s[i][l] * s[j][k] - s[i][k] * s[j][l]) / 3
+        assert al[(i, j, k, l)] == (2 * a[i][j] * a[k][l] + a[i][k] * a[j][l]
+                                    - a[i][l] * a[j][k]) / 3
 
 
 def test_gamma_zero_and_scaling():
@@ -118,6 +141,27 @@ def test_both_criteria_agree_on_random_tensors():
         t = rand_curvature(rng, n) if i % 2 else rand_tensor(rng, 4, n)
         result = check_curvature(t)
         assert result.direct_ok == result.young_ok
+
+
+def test_tensor_paths_read_no_single_entries(monkeypatch):
+    """Membership, the decompositions, the constructors and the Jacobi
+    operator act on whole tensors; none of them indexes single entries."""
+    rng = random.Random(38)
+    s, a = rand_symmetric(rng, 3), rand_skew(rng, 3)
+    t, rejected = rand_curvature(rng, 3), rand_tensor(rng, 4, 3)
+    x = rand_vector(rng, 3)
+
+    def refuse(self, idx):
+        raise AssertionError(f"per-entry read at {idx}")
+
+    monkeypatch.setattr(DenseTensor, "__getitem__", refuse)
+    assert check_curvature(t).ok
+    assert not check_curvature(rejected).ok
+    for d in (decompose_mixed(t), decompose_pure(t, "gamma"),
+              decompose_pure(t, "alpha")):
+        assert d.term_count
+    assert not gamma(s).is_zero and not alpha(a).is_zero
+    jacobi_operator(t, Metric.standard(3, 0), x)
 
 
 def test_pair_symmetrizer_annihilates_curvature():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from symcurv import (
 from symcurv.young import curvature_tableau, young_symmetrizer
 
 from helpers import (
+    rand_fraction,
     rand_ring_element,
     rand_skew,
     rand_symmetric,
@@ -101,6 +103,39 @@ def test_symmetrizer_projects_squares():
         assert apply_symmetry_operator(ystar, tensor_product(a, a)) == alpha(a).scale(12)
         assert apply_symmetry_operator(ystar, tensor_product(s, a)).is_zero
         assert apply_symmetry_operator(ystar, tensor_product(a, s)).is_zero
+
+
+def _reference_action(a, t):
+    """``(a T)[idx] = sum of a(p) * T[idx[p(1)-1], ..., idx[p(r)-1]]``,
+    read entry by entry."""
+    return {
+        idx: sum((c * t[tuple(idx[img - 1] for img in p.images)]
+                  for p, c in a.items()), Fraction(0))
+        for idx in product(range(t.dim), repeat=t.order)
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_action_matches_entrywise_reference(order, dim):
+    rng = random.Random(100 * order + dim)
+    group = [Permutation(images) for images in permutations(range(1, order + 1))]
+    # a permutation that moves exactly three points is a 3-cycle
+    three_cycles = [p for p in group
+                    if sum(k != img for k, img in enumerate(p.images, 1)) == 3]
+    assert len(three_cycles) == (0, 0, 2, 8)[order - 1]
+    for _ in range(3):
+        t = DenseTensor(order, dim, [rand_fraction(rng, -4, 4, 3)
+                                     for _ in range(dim ** order)])
+        full = GroupRingElement(order, [
+            (p, rng.choice((1, -1)) * rand_fraction(rng, 1, 5, 4)) for p in group
+        ])
+        assert len(full) == len(group)
+        single = GroupRingElement.from_permutation(rng.choice(group),
+                                                   rand_fraction(rng, 1, 3, 5))
+        for a in (full, single):
+            got = apply_symmetry_operator(a, t)
+            assert {idx: got[idx] for idx in got.indices()} == _reference_action(a, t)
 
 
 def test_action_is_compatible_with_product():
