@@ -30,6 +30,7 @@ from .curvature import (
 from .osserman import (
     Metric,
     SignatureError,
+    check_signature,
     clifford_family,
     lorentz_checks,
     nilpotency_check,
@@ -79,6 +80,13 @@ def _load_metric(path: str) -> Metric:
         return Metric.from_json_dict(payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise _InputError(f"{path}: invalid metric JSON: {err}")
+
+
+def _require_signature(p: int, q: int) -> None:
+    try:
+        check_signature(p, q)
+    except ValueError as err:
+        raise _InputError(f"metric: {err}")
 
 
 def _positive_int(text: str) -> int:
@@ -220,6 +228,7 @@ def cmd_osserman_spectrum(args) -> int:
 
 
 def cmd_osserman_nilpotent(args) -> int:
+    _require_signature(args.p, args.q)
     metric = Metric.standard(args.p, args.q)
     if args.kind == "sym":
         tensor = gamma(nilpotent_sym_example(args.p, args.q))
@@ -238,6 +247,7 @@ def cmd_osserman_nilpotent(args) -> int:
 
 
 def cmd_osserman_lorentz(args) -> int:
+    _require_signature(1, args.q)
     report = lorentz_checks(args.q, args.trials, args.samples, args.seed)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lorentz = osserman_sub.add_parser("lorentz",
                                       help="signature (1,q) rigidity checks")
-    lorentz.add_argument("--q", type=int, required=True)
+    lorentz.add_argument("--q", type=_positive_int, required=True)
     lorentz.add_argument("--trials", type=_positive_int, default=50)
     lorentz.add_argument("--samples", type=_positive_int, default=20)
     lorentz.add_argument("--seed", type=int, default=0)

@@ -28,11 +28,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
+from ._exact import exact
 from .symgroup import GroupRingElement, solve_right_factor
 from .tensor_ops import (
     DenseTensor,
+    Scalar,
     apply_symmetry_operator,
     slice_pairs,
     sym_split,
@@ -166,6 +169,54 @@ def bianchi_defect(tensor: DenseTensor) -> DenseTensor:
     return apply_symmetry_operator(_BIANCHI, tensor)
 
 
+def _quadratic_sum(dim: int,
+                   gamma_terms: Iterable[tuple[Scalar, DenseTensor]],
+                   alpha_terms: Iterable[tuple[Scalar, DenseTensor]]) -> DenseTensor:
+    """``sum c * gamma(S) + sum c * alpha(A)`` over ``(c, S)`` and ``(c, A)``.
+
+    Both maps are linear in the tensor square, so each kind costs one
+    accumulation of ``sum c * vec(M) vec(M)^T`` and one application of its
+    group-ring element; a kind without nonzero terms is skipped.  Each
+    matrix is brought to integer numerators over its own denominator, and
+    the sum is accumulated on integers over one common denominator, one dot
+    product per pair of nonzero flat positions (the square is symmetric in
+    its two pairs).  Every matrix is validated as :func:`gamma` and
+    :func:`alpha` validate it.
+    """
+    parts = []
+    for element, require, terms in ((_GAMMA, _require_symmetric, gamma_terms),
+                                    (_ALPHA, _require_skew, alpha_terms)):
+        numerators, weights = [], []
+        for c, m in terms:
+            require(m)
+            if m.dim != dim:
+                raise ValueError(f"matrix dimension {m.dim} != {dim}")
+            c = exact(c)
+            if c:
+                den = math.lcm(*(v.denominator for v in m._data))
+                numerators.append([v.numerator * (den // v.denominator) for v in m._data])
+                weights.append(c / (den * den))
+        if not weights:
+            continue
+        common = math.lcm(*(w.denominator for w in weights))
+        scales = [w.numerator * (common // w.denominator) for w in weights]
+        columns = list(zip(*numerators))
+        live = [a for a, column in enumerate(columns) if any(column)]
+        size = dim * dim
+        acc = [0] * (size * size)
+        for k, a in enumerate(live):
+            weighted = list(map(mul, scales, columns[a]))
+            for b in live[k:]:
+                acc[a * size + b] = acc[b * size + a] = sum(map(mul, weighted, columns[b]))
+        zero = Fraction(0)
+        square = DenseTensor._unchecked(4, dim, tuple(
+            Fraction(s, common) if s else zero for s in acc))
+        parts.append(apply_symmetry_operator(element, square))
+    if not parts:
+        return DenseTensor.zeros(4, dim)
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+
 @dataclass(frozen=True)
 class CurvatureCheck:
     """Outcome of both membership criteria plus diagnostics."""
@@ -262,12 +313,11 @@ class CurvatureDecomposition:
     alpha_terms: tuple[DecompositionTerm, ...]
 
     def reconstruct(self) -> DenseTensor:
-        total = DenseTensor.zeros(4, self.dim)
-        for sign, weight, matrix in self.gamma_terms:
-            total = total + gamma(matrix).scale(sign * weight)
-        for sign, weight, matrix in self.alpha_terms:
-            total = total + alpha(matrix).scale(sign * weight)
-        return total
+        return _quadratic_sum(
+            self.dim,
+            [(t.sign * t.weight, t.matrix) for t in self.gamma_terms],
+            [(t.sign * t.weight, t.matrix) for t in self.alpha_terms],
+        )
 
     @property
     def term_count(self) -> int:

@@ -21,9 +21,14 @@ from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._exact import exact, row_reduce
-from .curvature import NotACurvatureTensor, alpha, gamma, is_algebraic_curvature
+from .curvature import (
+    NotACurvatureTensor,
+    _quadratic_sum,
+    gamma,
+    is_algebraic_curvature,
+)
 from .symgroup import GroupRingElement, Permutation
-from .tensor_ops import DenseTensor, apply_symmetry_operator
+from .tensor_ops import DenseTensor, _check_shape, apply_symmetry_operator
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
@@ -167,6 +172,15 @@ class LinearMap:
         return f"LinearMap(dim={self.dim})"
 
 
+def check_signature(p: int, q: int) -> None:
+    """Refuse a signature with a negative count or no dimensions, and one
+    whose order-4 tensors would pass the entry cap, before anything is
+    allocated."""
+    if p < 0 or q < 0 or p + q < 1:
+        raise ValueError(f"bad signature ({p},{q})")
+    _check_shape(4, p + q)
+
+
 class Metric:
     """A symmetric, exactly invertible rational matrix with cached inverse."""
 
@@ -187,9 +201,8 @@ class Metric:
 
     @classmethod
     def standard(cls, p: int, q: int) -> "Metric":
-        """diag(+1 x p, -1 x q)."""
-        if p < 0 or q < 0 or p + q < 1:
-            raise ValueError(f"bad signature ({p},{q})")
+        """diag(+1 x p, -1 x q), after :func:`check_signature`."""
+        check_signature(p, q)
         diag = [1] * p + [-1] * q
         n = p + q
         return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -271,7 +284,9 @@ class Metric:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Metric":
         if "matrix" in payload:
-            return cls(payload["matrix"])
+            rows = payload["matrix"]
+            _check_shape(4, len(rows) or 1)  # LinearMap refuses an empty matrix
+            return cls(rows)
         return cls.standard(int(payload["p"]), int(payload["q"]))
 
 
@@ -469,10 +484,8 @@ def clifford_family(lam0: Scalar, lams: Sequence[Scalar],
             "maps must be skew w.r.t. the metric, square to -Id, and "
             "anticommute pairwise"
         )
-    total = gamma(g.tensor()).scale(3 * exact(lam0))
-    for coefficient, c in zip(lams, maps):
-        total = total + alpha(g.lower_map(c)).scale(3 * coefficient)
-    return total
+    return _quadratic_sum(g.dim, [(3 * exact(lam0), g.tensor())],
+                          [(3 * lam, g.lower_map(c)) for lam, c in zip(lams, maps)])
 
 
 def jordan_family(coefficients: Sequence[Scalar],
@@ -493,17 +506,11 @@ def jordan_family(coefficients: Sequence[Scalar],
                 raise ValueError("cross coefficients must be symmetric")
     if k == 0:
         raise ValueError("need at least one skew matrix")
-    n = skews[0].dim
-    total = DenseTensor.zeros(4, n)
-    half = Fraction(1, 2)
-    for c, a in zip(cs, skews):
-        if c:
-            total = total + alpha(a).scale(c)
-    for i in range(k):
-        for j in range(k):
-            if i != j and cross[i][j]:
-                total = total + alpha(skews[i] + skews[j]).scale(half * cross[i][j])
-    return total
+    # the (i, j) and (j, i) cross terms are equal: one term per pair i < j
+    terms = [(c, a) for c, a in zip(cs, skews) if c]
+    terms += [(cross[i][j], skews[i] + skews[j])
+              for i in range(k) for j in range(i + 1, k) if cross[i][j]]
+    return _quadratic_sum(skews[0].dim, (), terms)
 
 
 def nilpotent_sym_example(p: int, q: int) -> DenseTensor:

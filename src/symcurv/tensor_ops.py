@@ -181,22 +181,24 @@ class DenseTensor:
         if not isinstance(other, DenseTensor):
             return NotImplemented
         self._require_same_shape(other)
-        return DenseTensor(self._order, self._dim,
-                           (a + b for a, b in zip(self._data, other._data)))
+        return DenseTensor._unchecked(self._order, self._dim, tuple(
+            a + b for a, b in zip(self._data, other._data)))
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
         if not isinstance(other, DenseTensor):
             return NotImplemented
         self._require_same_shape(other)
-        return DenseTensor(self._order, self._dim,
-                           (a - b for a, b in zip(self._data, other._data)))
+        return DenseTensor._unchecked(self._order, self._dim, tuple(
+            a - b for a, b in zip(self._data, other._data)))
 
     def __neg__(self) -> "DenseTensor":
-        return DenseTensor(self._order, self._dim, (-a for a in self._data))
+        return DenseTensor._unchecked(self._order, self._dim,
+                                      tuple(-a for a in self._data))
 
     def scale(self, scalar: Scalar) -> "DenseTensor":
         factor = exact(scalar)
-        return DenseTensor(self._order, self._dim, (factor * a for a in self._data))
+        return DenseTensor._unchecked(self._order, self._dim,
+                                      tuple(factor * a for a in self._data))
 
     def __mul__(self, scalar) -> "DenseTensor":
         if isinstance(scalar, (int, str, Fraction)):

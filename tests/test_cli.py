@@ -289,6 +289,29 @@ def test_oversized_tensor_is_refused_before_allocation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["osserman", "nilpotent", "--p", str(10 ** 18), "--q", "2"],
+    ["osserman", "nilpotent", "--kind", "skew", "--p", "2", "--q", str(10 ** 18)],
+    ["osserman", "lorentz", "--q", str(10 ** 18)],
+    ["osserman", "spectrum", "--tensor", "t.json", "--metric", "g.json"],
+])
+def test_oversized_metric_is_refused_before_allocation(argv, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text('{"order": 4, "dim": 2, "entries": []}')
+    (tmp_path / "g.json").write_text(json.dumps({"p": 10 ** 18, "q": 0}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "cap" in err[0]
+
+
+def test_negative_signature_is_an_input_error(capsys):
+    assert main(["osserman", "nilpotent", "--p", "-1", "--q", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
     ["osserman", "spectrum", "--tensor", "t.json", "--metric", "g.json",
      "--count", "0"],
     ["osserman", "demo", "--count", "-3"],
@@ -296,6 +319,7 @@ def test_oversized_tensor_is_refused_before_allocation(tmp_path, capsys):
     ["osserman", "nilpotent", "--p", "2", "--q", "2", "--samples", "-1"],
     ["osserman", "lorentz", "--q", "2", "--trials", "-1"],
     ["osserman", "lorentz", "--q", "2", "--samples", "0"],
+    ["osserman", "lorentz", "--q", "0"],
 ])
 def test_nonpositive_counts_are_input_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Curvature constructors, membership criteria, and the three decompositions."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from symcurv import (
     CriteriaDisagreement,
     CurvatureCheck,
     CurvatureDecomposition,
+    DecompositionTerm,
     DenseTensor,
     Metric,
     NotACurvatureTensor,
@@ -333,6 +335,92 @@ def test_decomposition_json_round_trip():
     assert all(term["map"] == "alpha" for term in payload["terms"])
     back = CurvatureDecomposition.from_json_dict(payload)
     assert back.reconstruct() == t
+
+
+def _term_by_term(d: CurvatureDecomposition) -> DenseTensor:
+    """Reference: one gamma or alpha tensor per term, added one at a time."""
+    total = DenseTensor.zeros(4, d.dim)
+    for sign, weight, m in d.gamma_terms:
+        total = total + gamma(m).scale(sign * weight)
+    for sign, weight, m in d.alpha_terms:
+        total = total + alpha(m).scale(sign * weight)
+    return total
+
+
+def _random_terms(rng, n, make, count):
+    """Terms with mixed denominators, both signs, zero weights, zero and
+    repeated matrices."""
+    matrices = [make(rng, n) for _ in range(count)]
+    matrices.append(DenseTensor.zeros(2, n))
+    terms = []
+    for _ in range(count + 2):
+        weight = Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7, 12)))
+        terms.append(DecompositionTerm(rng.choice((1, -1)), weight,
+                                       rng.choice(matrices)))
+    return tuple(terms)
+
+
+def test_reconstruct_matches_term_by_term_sum():
+    rng = random.Random(46)
+    for n in (1, 2, 3, 4, 5):
+        for kinds in ("both", "gamma", "alpha"):
+            gammas = (_random_terms(rng, n, rand_symmetric, 4)
+                      if kinds != "alpha" else ())
+            alphas = (_random_terms(rng, n, rand_skew, 4)
+                      if kinds != "gamma" else ())
+            d = CurvatureDecomposition("mixed", n, gammas, alphas)
+            assert d.reconstruct() == _term_by_term(d)
+
+
+def test_reconstruct_of_no_terms_is_zero():
+    for n in (1, 3):
+        empty = CurvatureDecomposition("mixed", n, (), ())
+        assert empty.reconstruct() == DenseTensor.zeros(4, n)
+        zero_weights = CurvatureDecomposition(
+            "mixed", n, (DecompositionTerm(1, Fraction(0), DenseTensor.zeros(2, n)),),
+            (DecompositionTerm(-1, Fraction(0), DenseTensor.zeros(2, n)),))
+        assert zero_weights.reconstruct() == DenseTensor.zeros(4, n)
+
+
+def test_tampered_decomposition_fails_self_check():
+    rng = random.Random(48)
+    t = rand_curvature(rng, 3)
+    for d in (decompose_pure(t, "gamma"), decompose_pure(t, "alpha")):
+        field = "gamma_terms" if d.gamma_terms else "alpha_terms"
+        terms = getattr(d, field)
+        first = terms[0]
+        for tampered in (first._replace(sign=-first.sign),
+                         first._replace(weight=first.weight + Fraction(1, 5))):
+            broken = replace(d, **{field: (tampered,) + terms[1:]})
+            with pytest.raises(RuntimeError, match="failed to reconstruct"):
+                curvature_module._checked(broken, t)
+        assert curvature_module._checked(d, t) is d
+
+
+def test_reconstruct_validates_every_matrix():
+    not_symmetric = DenseTensor.from_nested([[1, 2], [0, 1]])
+    not_skew = DenseTensor.from_nested([[0, 1], [1, 0]])
+    fine = DenseTensor.from_nested([[0, 1], [-1, 0]])
+    cases = (
+        ((DecompositionTerm(1, Fraction(1), not_symmetric),), ()),
+        ((), (DecompositionTerm(1, Fraction(1), fine),
+              DecompositionTerm(-1, Fraction(2), not_skew))),
+        # a zero weight does not exempt a matrix from validation
+        ((DecompositionTerm(1, Fraction(0), not_symmetric),), ()),
+    )
+    for gammas, alphas in cases:
+        with pytest.raises(ValueError, match="symmetric"):
+            CurvatureDecomposition("mixed", 2, gammas, alphas).reconstruct()
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_large_round_trips(n):
+    rng = random.Random(49 + n)
+    t = rand_curvature(rng, n, 1)
+    for d in (decompose_mixed(t), decompose_pure(t, "gamma"),
+              decompose_pure(t, "alpha")):
+        assert d.dim == n and d.term_count
+        assert d.reconstruct() == t
 
 
 def test_approx_unit_terms_is_float_display():

@@ -181,6 +181,21 @@ def test_raise_form_matches_defining_relation():
             x[i] * b[(i, j)] * y[j] for i in range(4) for j in range(4))
 
 
+def test_metric_size_is_capped_before_allocation():
+    # 10**18 dimensions cannot be allocated; the cap must refuse them first
+    for p, q in ((10 ** 18, 0), (1, 10 ** 18), (32, 0), (20, 12)):
+        with pytest.raises(ValueError, match="cap"):
+            Metric.standard(p, q)
+        with pytest.raises(ValueError, match="cap"):
+            Metric.from_json_dict({"p": p, "q": q})
+    identity = [[int(i == j) for j in range(32)] for i in range(32)]
+    with pytest.raises(ValueError, match="cap"):
+        Metric.from_json_dict({"matrix": identity})
+    assert Metric.from_json_dict({"p": 31, "q": 0}).dim == 31
+    with pytest.raises(ValueError, match="nonempty"):
+        Metric.from_json_dict({"matrix": []})
+
+
 def test_metric_json():
     g = Metric.standard(1, 3)
     assert g.to_json_dict() == {"p": 1, "q": 3}
@@ -376,7 +391,46 @@ def test_clifford_family_rejects_bad_maps():
         clifford_family(1, [1], [not_skew], g)
 
 
+def _block_quaternions():
+    """The quaternion triple acting on both halves of R^8."""
+    zero = [0] * 4
+    return [LinearMap([list(r) + zero for r in c.rows] + [zero + list(r) for r in c.rows])
+            for c in quaternion_triple()]
+
+
+def test_clifford_family_matches_term_by_term_sum():
+    rng = random.Random(65)
+    for g, maps in ((Metric.standard(4, 0), quaternion_triple()),
+                    (Metric.standard(8, 0), _block_quaternions())):
+        for k in (1, 2, 3):
+            lam0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            lams = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
+            expected = gamma(g.tensor()).scale(3 * lam0)
+            for lam, c in zip(lams, maps[:k]):
+                expected = expected + alpha(g.lower_map(c)).scale(3 * lam)
+            assert clifford_family(lam0, lams, maps[:k], g) == expected
+
+
 # --------------------------------------------------------------- jordan family
+
+def test_jordan_family_matches_term_by_term_sum():
+    rng = random.Random(70)
+    for k in (1, 2, 3):
+        skews = [rand_skew(rng, 4) for _ in range(k)]
+        cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+        cross = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                cross[i][j] = cross[j][i] = Fraction(rng.randint(-3, 3), 2)
+        expected = DenseTensor.zeros(4, 4)
+        for c, a in zip(cs, skews):
+            expected = expected + alpha(a).scale(c)
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    expected = expected + alpha(skews[i] + skews[j]).scale(cross[i][j] / 2)
+        assert jordan_family(cs, cross, skews) == expected
+
 
 def test_jordan_family_single_term():
     rng = random.Random(66)

@@ -58,6 +58,22 @@ def test_dense_tensor_shape_validation():
         DenseTensor(1, 2, [0.5, 1])  # floats rejected
 
 
+def test_arithmetic_results_stay_exact():
+    t = DenseTensor.from_nested([[1, "1/2"], [-3, 0]])
+    u = DenseTensor.from_nested([["2/3", 1], [0, 5]])
+    for result, expected in ((t + u, [[Fraction(5, 3), Fraction(3, 2)], [-3, 5]]),
+                             (t - u, [[Fraction(1, 3), Fraction(-1, 2)], [-3, -5]]),
+                             (-t, [[-1, Fraction(-1, 2)], [3, 0]]),
+                             (t.scale("3/2"), [[Fraction(3, 2), Fraction(3, 4)],
+                                               [Fraction(-9, 2), 0]])):
+        assert result == DenseTensor.from_nested(expected)
+        assert all(type(v) is Fraction for v in result._data)
+    with pytest.raises(TypeError):
+        t.scale(0.5)  # floats rejected by scale as by the constructor
+    with pytest.raises(TypeError):
+        t * 0.5
+
+
 def test_dense_tensor_indexing_and_equality():
     t = DenseTensor.from_nested([[1, 2], [3, 4]])
     assert t[(0, 1)] == 2
