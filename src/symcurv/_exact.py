@@ -1,6 +1,8 @@
 """Exact-rational primitives shared by the package.
 
-``exact`` coerces values into rationals (floats are rejected on purpose).
+``exact`` coerces values into rationals (floats are rejected on purpose);
+``json_int`` reads an integer field of a JSON payload and refuses anything
+else.
 ``row_reduce`` is the one Gauss-Jordan elimination in the package: the
 group-ring solve ``symgroup.solve_right_factor`` and the metric inverse in
 ``osserman.Metric`` both run on it.
@@ -23,6 +25,15 @@ def exact(value) -> Fraction:
             f"float {value!r} rejected: use int, Fraction, or a 'p/q' string"
         )
     return Fraction(value)
+
+
+def json_int(payload, key: str) -> int:
+    """``payload[key]``, which must be an integer: bools, floats and strings
+    are refused rather than truncated or parsed."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:

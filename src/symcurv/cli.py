@@ -96,6 +96,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for exact coefficients such as 2, -4/3 or 0.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}")
+
+
 def _parse_partition(text: str) -> Partition:
     try:
         return Partition.from_text(text)
@@ -163,8 +171,11 @@ def cmd_decompose(args) -> int:
     payload["reconstruction_exact"] = True
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as err:
+            raise _InputError(f"{args.out}: {err.strerror or err}")
         print(f"{decomposition.kind}: {decomposition.term_count} terms -> {args.out}; "
               "reconstruction exact: yes")
     else:
@@ -319,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check_curvature)
 
     decompose = commands.add_parser(
-        "decompose", help="decompose a curvature tensor file into gammas "
-                          "and/or alphas")
+        "decompose", help="decompose a curvature tensor file: --mode gamma "
+                          "returns gammas only, alpha and mixed (the default) "
+                          "alphas only")
     decompose.add_argument("path")
     decompose.add_argument("--mode", choices=("mixed", "gamma", "alpha"),
                            default="mixed")
@@ -383,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--family",
                       choices=("clifford", "nilpotent-gamma", "nilpotent-alpha"),
                       default="clifford")
-    demo.add_argument("--l0", type=Fraction, default=Fraction(2))
-    demo.add_argument("--l1", type=Fraction, default=Fraction(1))
+    demo.add_argument("--l0", type=_fraction, default=Fraction(2))
+    demo.add_argument("--l1", type=_fraction, default=Fraction(1))
     demo.add_argument("--count", type=_positive_int, default=10)
     demo.add_argument("--samples", type=_positive_int, default=20)
     demo.add_argument("--seed", type=int, default=0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ._exact import exact
 from .symgroup import GroupRingElement, solve_right_factor
@@ -38,7 +38,6 @@ from .tensor_ops import (
     Scalar,
     apply_symmetry_operator,
     slice_pairs,
-    sym_split,
     tensor_product,
 )
 from .young import curvature_tableau, young_symmetrizer
@@ -63,7 +62,8 @@ class CanonicalElements:
 
     ``swap_sym`` is the unnormalized pair-exchange symmetrization
     ``id + (1 3)(2 4)`` used inside the generators; ``swap_proj`` is its
-    idempotent half, the form used by the mixed decomposition.  The gamma
+    idempotent half, which fixes every curvature tensor (so the mixed
+    decomposition slices its input directly, without applying it).  The gamma
     and alpha generators span the same right ideal as ``symmetrizer_star``;
     ``gamma_preimage`` is a fixed solution of
     ``gamma_generator * x == symmetrizer_star`` (the gamma generator kills
@@ -417,30 +417,35 @@ def _checked(decomposition: CurvatureDecomposition,
     return decomposition
 
 
+def _polarized_terms(source: DenseTensor,
+                     project: Callable[[DenseTensor], DenseTensor],
+                     weight: Fraction) -> tuple[DecompositionTerm, ...]:
+    """Slice ``source`` into ``M (x) N`` pairs, project both factors, and
+    polarize ``P(M) (x) P(N) + P(N) (x) P(M)`` as
+    ``(P(M) + P(N))^2 - P(M)^2 - P(N)^2`` with weights ``+-weight``;
+    equal matrices are merged."""
+    raw: list[tuple[Fraction, DenseTensor]] = []
+    for m, n in slice_pairs(source):
+        first, second = project(m), project(n)
+        raw += ((weight, first + second), (-weight, first), (-weight, second))
+    return _merge_terms(raw)
+
+
 def decompose_mixed(tensor: DenseTensor) -> CurvatureDecomposition:
-    """Write a curvature tensor as signed weighted gammas plus alphas.
+    """Write a curvature tensor as signed weighted alphas.
 
     The pair-exchange projector fixes the input, so slicing the input
     itself into ``M (x) unit`` pairs and symmetrizing gives
-    ``T = 1/2 sum (M (x) N + N (x) M)``; the polarization identity turns
-    each summand into a difference of squares, each square splits into
-    symmetric + skew parts, and applying the starred symmetrizer kills the
-    cross terms, leaving gammas and alphas only.
+    ``T = 1/2 sum (M (x) N + N (x) M)``, and polarization turns each summand
+    into a difference of squares.  Every slice ``M`` is skew, so the
+    symmetric parts of ``M + N``, ``M`` and ``N`` are ``sym(N)``, ``0`` and
+    ``sym(N)``, and their gamma terms cancel.  Only the skew parts
+    ``(X - X^T)/2`` are polarized, so the result has alpha terms only.
     """
     _require_curvature(tensor)
-    half = Fraction(1, 2)
-    raw_gamma: list[tuple[Fraction, DenseTensor]] = []
-    raw_alpha: list[tuple[Fraction, DenseTensor]] = []
-    for m, n in slice_pairs(tensor):
-        for weight, square in ((half, m + n), (-half, m), (-half, n)):
-            sym, skew = sym_split(square)
-            raw_gamma.append((weight, sym))
-            raw_alpha.append((weight, skew))
-    return _checked(
-        CurvatureDecomposition("mixed", tensor.dim,
-                               _merge_terms(raw_gamma), _merge_terms(raw_alpha)),
-        tensor,
-    )
+    merged = _polarized_terms(
+        tensor, lambda m: (m - m.transpose()).scale(Fraction(1, 2)), Fraction(1, 2))
+    return _checked(CurvatureDecomposition("mixed", tensor.dim, (), merged), tensor)
 
 
 def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
@@ -459,32 +464,18 @@ def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
     if kind not in ("gamma", "alpha"):
         raise ValueError(f"kind must be 'gamma' or 'alpha', got {kind!r}")
     _require_curvature(tensor)
-    elements = canonical_elements()
     if kind == "alpha":
-        source = tensor.scale(Fraction(1, 96))
-    else:
-        source = apply_symmetry_operator(
-            elements.gamma_preimage, tensor).scale(Fraction(1, 12))
-
-    raw: list[tuple[Fraction, DenseTensor]] = []
-    for m, n in slice_pairs(source):
-        if kind == "gamma":
-            first, second = m + m.transpose(), n + n.transpose()
-        else:
-            first, second = m - m.transpose(), n - n.transpose()
-        for weight, square in ((Fraction(12), first + second),
-                               (Fraction(-12), first),
-                               (Fraction(-12), second)):
-            raw.append((weight, square))
-
-    merged = _merge_terms(raw)
-    if kind == "gamma":
-        # polarizing with diagonal slices yields rank-1 terms, whose gamma is 0
-        merged = tuple(t for t in merged if not _rank_at_most_one(t.matrix))
-        decomposition = CurvatureDecomposition("pure-gamma", tensor.dim, merged, ())
-    else:
-        decomposition = CurvatureDecomposition("pure-alpha", tensor.dim, (), merged)
-    return _checked(decomposition, tensor)
+        merged = _polarized_terms(tensor.scale(Fraction(1, 96)),
+                                  lambda m: m - m.transpose(), Fraction(12))
+        return _checked(
+            CurvatureDecomposition("pure-alpha", tensor.dim, (), merged), tensor)
+    source = apply_symmetry_operator(
+        canonical_elements().gamma_preimage, tensor).scale(Fraction(1, 12))
+    merged = _polarized_terms(source, lambda m: m + m.transpose(), Fraction(12))
+    # polarizing with diagonal slices yields rank-1 terms, whose gamma is 0
+    merged = tuple(t for t in merged if not _rank_at_most_one(t.matrix))
+    return _checked(
+        CurvatureDecomposition("pure-gamma", tensor.dim, merged, ()), tensor)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._exact import exact, row_reduce
+from ._exact import exact, json_int, row_reduce
 from .curvature import (
     NotACurvatureTensor,
     _quadratic_sum,
@@ -287,7 +287,7 @@ class Metric:
             rows = payload["matrix"]
             _check_shape(4, len(rows) or 1)  # LinearMap refuses an empty matrix
             return cls(rows)
-        return cls.standard(int(payload["p"]), int(payload["q"]))
+        return cls.standard(json_int(payload, "p"), json_int(payload, "q"))
 
 
 _ROTATE = GroupRingElement.from_permutation(Permutation([2, 3, 4, 1]))

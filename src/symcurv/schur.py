@@ -43,19 +43,12 @@ class SchurSum:
                 data[part] = data.get(part, 0) + mult
         self._terms = data
 
-    @classmethod
-    def single(cls, part: Partition, mult: int = 1) -> "SchurSum":
-        return cls([(part, mult)])
-
     def multiplicity(self, part: Partition) -> int:
         return self._terms.get(part, 0)
 
     def items(self) -> list[tuple[Partition, int]]:
         """Terms in reverse-lexicographic order, largest first."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].parts, reverse=True)
-
-    def partitions(self) -> list[Partition]:
-        return [part for part, _ in self.items()]
 
     def __len__(self) -> int:
         return len(self._terms)

@@ -271,9 +271,6 @@ class GroupRingElement:
         """Terms sorted by one-line notation (deterministic)."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].images)
 
-    def support(self) -> list[Permutation]:
-        return sorted(self._terms, key=lambda p: p.images)
-
     def _require_same_degree(self, other: "GroupRingElement") -> None:
         if other._degree != self._degree:
             raise ValueError(

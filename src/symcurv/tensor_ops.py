@@ -22,7 +22,7 @@ from itertools import product as _product
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from ._exact import exact
+from ._exact import exact, json_int
 from .symgroup import GroupRingElement, Permutation, enumerate_group
 
 Scalar = Union[int, str, Fraction]
@@ -244,8 +244,7 @@ class DenseTensor:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "DenseTensor":
-        order = int(payload["order"])
-        dim = int(payload["dim"])
+        order, dim = json_int(payload, "order"), json_int(payload, "dim")
         entries = {
             tuple(entry["idx"]): entry["value"]
             for entry in payload.get("entries", ())

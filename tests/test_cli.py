@@ -110,6 +110,35 @@ def test_boolean_index_is_an_input_error(tmp_path, capsys):
     assert "invalid tensor JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [
+    {"order": 4.9, "dim": True},
+    {"order": 4, "dim": 2.5},
+])
+def test_non_integer_tensor_shape_is_an_input_error(shape, tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({**shape, "entries": []}))
+    assert main(["check-curvature", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "invalid tensor JSON" in err[0]
+
+
+@pytest.mark.parametrize("signature", [{"p": 3.7, "q": 0}, {"p": 3, "q": False}])
+def test_non_integer_metric_signature_is_an_input_error(signature, tmp_path,
+                                                        capsys):
+    # the tensor matches the truncated (3, 0) reading, so only the type check
+    # can refuse the metric
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text('{"order": 4, "dim": 3, "entries": []}')
+    metric_path.write_text(json.dumps(signature))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "invalid metric JSON" in err[0]
+
+
 @pytest.mark.parametrize("mode", ["mixed", "gamma", "alpha"])
 def test_decompose_round_trips(curvature_file, tmp_path, capsys, mode):
     path, t = curvature_file
@@ -149,6 +178,18 @@ def test_decompose_to_stdout(curvature_file, capsys):
     assert main(["decompose", str(path), "--mode", "alpha"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "pure-alpha"
+
+
+@pytest.mark.parametrize("target", ["missing/dec.json", "."])
+def test_decompose_unwritable_out_is_an_input_error(target, curvature_file,
+                                                     tmp_path, capsys):
+    path, _ = curvature_file
+    out = tmp_path / target  # a missing directory, or a directory itself
+    assert main(["decompose", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out}: ")
+    assert captured.out == ""
 
 
 def test_decompose_rejects_non_curvature(tmp_path, capsys):
@@ -270,6 +311,18 @@ def test_osserman_demo_negative_fractions_after_a_space(capsys):
     spaced = capsys.readouterr().out
     assert main(["osserman", "demo", "--l0=-4/3", "--l1=-1/2", "--json"]) == 0
     assert capsys.readouterr().out == spaced
+
+
+@pytest.mark.parametrize("argv", [
+    ["osserman", "demo", "--l0", "1/0"],
+    ["osserman", "demo", "--l1=1/0"],
+    ["osserman", "demo", "--l0", "two"],
+])
+def test_osserman_demo_bad_fraction_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a fraction" in capsys.readouterr().err
 
 
 def test_osserman_demo_json(capsys):

@@ -26,6 +26,8 @@ from symcurv import (
     gamma,
     is_algebraic_curvature,
     jacobi_operator,
+    slice_pairs,
+    sym_split,
     tensor_product,
     verify_identity_table,
 )
@@ -212,10 +214,34 @@ def test_mixed_round_trip_gamma_input():
     d = decompose_mixed(t)
     assert d.kind == "mixed"
     assert d.reconstruct() == t
-    for _, _, m in d.gamma_terms:
-        assert m == m.transpose()
+    assert d.gamma_terms == ()
+    assert len(d.alpha_terms) <= 9  # 3·n(n−1)/2 at n = 3
     for _, _, m in d.alpha_terms:
         assert m == -m.transpose()
+
+
+def _mixed_by_sym_split(t: DenseTensor) -> CurvatureDecomposition:
+    """Reference: split every polarized square into its symmetric and skew
+    parts and merge both halves, gammas included."""
+    half = Fraction(1, 2)
+    raw_gamma, raw_alpha = [], []
+    for m, n in slice_pairs(t):
+        for weight, square in ((half, m + n), (-half, m), (-half, n)):
+            sym, skew = sym_split(square)
+            raw_gamma.append((weight, sym))
+            raw_alpha.append((weight, skew))
+    return CurvatureDecomposition("mixed", t.dim,
+                                  curvature_module._merge_terms(raw_gamma),
+                                  curvature_module._merge_terms(raw_alpha))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mixed_matches_symmetric_split_reference(n):
+    t = rand_curvature(random.Random(60 + n), n)
+    d = decompose_mixed(t)
+    assert d.to_json_dict() == _mixed_by_sym_split(t).to_json_dict()
+    assert d.gamma_terms == ()
+    assert 0 < len(d.alpha_terms) <= 3 * n * (n - 1) // 2
 
 
 def test_mixed_round_trip_clifford_shape():

@@ -204,6 +204,15 @@ def test_metric_json():
     assert Metric.from_json_dict(custom.to_json_dict()) == custom
 
 
+@pytest.mark.parametrize("payload", [
+    {"p": 3.7, "q": 0}, {"p": 3, "q": False}, {"p": True, "q": 1},
+    {"p": "2", "q": 2},
+])
+def test_metric_json_signature_must_be_integers(payload):
+    with pytest.raises(TypeError, match="must be an integer"):
+        Metric.from_json_dict(payload)
+
+
 # ------------------------------------------------------------- jacobi operator
 
 def test_jacobi_of_zero():

@@ -94,6 +94,17 @@ def test_json_round_trip():
     assert DenseTensor.from_json_dict(payload) == t
 
 
+@pytest.mark.parametrize("shape", [
+    {"order": 4.9, "dim": True},
+    {"order": 4.0, "dim": 2},
+    {"order": 4, "dim": False},
+    {"order": "4", "dim": 2},
+])
+def test_json_shape_must_be_integers(shape):
+    with pytest.raises(TypeError, match="must be an integer"):
+        DenseTensor.from_json_dict({**shape, "entries": []})
+
+
 # --------------------------------------------------------------------- action
 
 def test_identity_acts_trivially():
