@@ -31,11 +31,13 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from ._exact import exact
+from ._exact import exact, json_int
 from .symgroup import GroupRingElement, solve_right_factor
 from .tensor_ops import (
     DenseTensor,
     Scalar,
+    _act,
+    _numerators,
     apply_symmetry_operator,
     slice_pairs,
     tensor_product,
@@ -244,19 +246,19 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
     """Run the direct symmetry test and the symmetrizer test side by side."""
     if tensor.order != 4:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
-    first_violation = None
-    for name, annihilator in _DIRECT_CONDITIONS:
-        if not apply_symmetry_operator(annihilator, tensor).is_zero:
-            first_violation = name
-            break
-    defect = bianchi_defect(tensor)
-    bianchi_nonzero = sum(1 for _ in defect.nonzero_items())
+    # convert T once; every result below is numerators over den * den
+    ystar = canonical_elements().symmetrizer_star
+    elements = [a for _, a in _DIRECT_CONDITIONS] + [_BIANCHI, ystar]
+    ints, den = _numerators(
+        tensor, *(c.denominator for a in elements for _, c in a.items()))
+    dim = tensor.dim
+    first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
+                            if any(_act(annihilator, ints, den, dim))), None)
+    bianchi_nonzero = sum(1 for v in _act(_BIANCHI, ints, den, dim) if v)
     if first_violation is None and bianchi_nonzero:
         first_violation = "first Bianchi identity"
     direct_ok = first_violation is None
-
-    ystar = canonical_elements().symmetrizer_star
-    young_ok = apply_symmetry_operator(ystar, tensor) == tensor.scale(12)
+    young_ok = _act(ystar, ints, den, dim) == [12 * den * v for v in ints]
     return CurvatureCheck(direct_ok, young_ok, first_violation, bianchi_nonzero)
 
 
@@ -291,6 +293,9 @@ def _require_curvature(tensor: DenseTensor) -> None:
         )
 
 
+_KINDS = ("mixed", "pure-gamma", "pure-alpha")
+
+
 class DecompositionTerm(NamedTuple):
     sign: int                # +1 or -1
     weight: Fraction         # strictly positive
@@ -307,7 +312,7 @@ class CurvatureDecomposition:
     :meth:`approx_unit_terms`, which is explicitly floating point.
     """
 
-    kind: str  # "mixed" | "pure-gamma" | "pure-alpha"
+    kind: str  # one of _KINDS
     dim: int
     gamma_terms: tuple[DecompositionTerm, ...]
     alpha_terms: tuple[DecompositionTerm, ...]
@@ -354,20 +359,33 @@ class CurvatureDecomposition:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "CurvatureDecomposition":
-        gammas, alphas = [], []
+        """Inverse of :meth:`to_json_dict`; refuses a payload that it would
+        otherwise have to truncate or guess: a non-integer or nonpositive
+        ``dim``, an unknown ``kind`` or ``map``, a ``sign`` other than the
+        integers 1 and -1, a weight that is not positive, or a matrix that
+        is not n x n."""
+        dim = json_int(payload, "dim")
+        if dim < 1:
+            raise ValueError(f"'dim' must be positive, got {dim}")
+        kind = payload["kind"]
+        if kind not in _KINDS:
+            raise ValueError(f"'kind' must be one of {_KINDS}, got {kind!r}")
+        terms: dict[str, list[DecompositionTerm]] = {"gamma": [], "alpha": []}
         for entry in payload.get("terms", ()):
-            term = DecompositionTerm(
-                sign=int(entry["sign"]),
-                weight=Fraction(entry["weight"]),
-                matrix=DenseTensor.from_nested(entry["matrix"]),
-            )
-            (gammas if entry["map"] == "gamma" else alphas).append(term)
-        return cls(
-            kind=payload["kind"],
-            dim=int(payload["dim"]),
-            gamma_terms=tuple(gammas),
-            alpha_terms=tuple(alphas),
-        )
+            label = entry["map"]
+            if label not in terms:
+                raise ValueError(f"'map' must be 'gamma' or 'alpha', got {label!r}")
+            sign = json_int(entry, "sign")
+            if sign not in (1, -1):
+                raise ValueError(f"'sign' must be 1 or -1, got {sign}")
+            weight = exact(entry["weight"])
+            if weight <= 0:
+                raise ValueError(f"'weight' must be positive, got {weight}")
+            matrix = DenseTensor.from_nested(entry["matrix"])
+            if matrix.order != 2 or matrix.dim != dim:
+                raise ValueError(f"every matrix must be {dim} x {dim}")
+            terms[label].append(DecompositionTerm(sign, weight, matrix))
+        return cls(kind, dim, tuple(terms["gamma"]), tuple(terms["alpha"]))
 
 
 def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]

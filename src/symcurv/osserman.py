@@ -17,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._exact import exact, json_int, row_reduce
@@ -27,8 +28,7 @@ from .curvature import (
     gamma,
     is_algebraic_curvature,
 )
-from .symgroup import GroupRingElement, Permutation
-from .tensor_ops import DenseTensor, _check_shape, apply_symmetry_operator
+from .tensor_ops import DenseTensor, _check_shape, _contract_middle
 
 Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
@@ -90,6 +90,14 @@ class LinearMap:
             raise ValueError("matrix must be square and nonempty")
 
     @classmethod
+    def _unchecked(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "LinearMap":
+        """Wrap ``rows`` without validation; callers guarantee a nonempty
+        square tuple of tuples of Fractions."""
+        out = cls.__new__(cls)
+        out._rows = rows
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -115,21 +123,31 @@ class LinearMap:
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
+    def _numerators(self) -> tuple[list[list[int]], int]:
+        """The entries as integer numerators over one common denominator."""
+        den = lcm(*(v.denominator for row in self._rows for v in row))
+        return [[v.numerator * (den // v.denominator) for v in row]
+                for row in self._rows], den
+
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         if not isinstance(other, LinearMap):
             return NotImplemented
         self._require_same_dim(other)
-        columns = tuple(zip(*other._rows))
-        return LinearMap(tuple(
-            tuple(sum(a * b for a, b in zip(row, column)) for column in columns)
-            for row in self._rows
+        # integer rows over da * db, one Fraction per entry of the product
+        a, da = self._numerators()
+        b, db = other._numerators()
+        den = da * db
+        columns = tuple(zip(*b))
+        return LinearMap._unchecked(tuple(
+            tuple(Fraction(sum(map(mul, row, column)), den) for column in columns)
+            for row in a
         ))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if not isinstance(other, LinearMap):
             return NotImplemented
         self._require_same_dim(other)
-        return LinearMap(tuple(
+        return LinearMap._unchecked(tuple(
             tuple(a + b for a, b in zip(ra, rb))
             for ra, rb in zip(self._rows, other._rows)
         ))
@@ -140,11 +158,12 @@ class LinearMap:
         return self + (-other)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(tuple(tuple(-v for v in row) for row in self._rows))
+        return LinearMap._unchecked(tuple(tuple(-v for v in row) for row in self._rows))
 
     def scale(self, scalar: Scalar) -> "LinearMap":
         factor = exact(scalar)
-        return LinearMap(tuple(tuple(factor * v for v in row) for row in self._rows))
+        return LinearMap._unchecked(tuple(tuple(factor * v for v in row)
+                                          for row in self._rows))
 
     def __mul__(self, scalar) -> "LinearMap":
         if isinstance(scalar, (int, str, Fraction)):
@@ -154,9 +173,7 @@ class LinearMap:
     __rmul__ = __mul__
 
     def transpose(self) -> "LinearMap":
-        n = self.dim
-        return LinearMap(tuple(tuple(self._rows[j][i] for j in range(n))
-                               for i in range(n)))
+        return LinearMap._unchecked(tuple(zip(*self._rows)))
 
     def trace(self) -> Fraction:
         return sum(self._rows[i][i] for i in range(self.dim))
@@ -290,9 +307,6 @@ class Metric:
         return cls.standard(json_int(payload, "p"), json_int(payload, "q"))
 
 
-_ROTATE = GroupRingElement.from_permutation(Permutation([2, 3, 4, 1]))
-
-
 def jacobi_operator(tensor: DenseTensor, g: Metric,
                     x: Sequence[Scalar]) -> LinearMap:
     """The map J with ``g(J y, w) = T(y, x, x, w)``.
@@ -309,16 +323,11 @@ def jacobi_operator(tensor: DenseTensor, g: Metric,
     xv = tuple(exact(v) for v in x)
     if len(xv) != n:
         raise ValueError(f"vector length {len(xv)} != dimension {n}")
-    xx = [[xv[b] * xv[c] for c in range(n)] for b in range(n)]
-    # T permuted by [2,3,4,1] nests as [d][a][b][c] -> T(a, b, c, d); summing
-    # (b, c) against x (x) x gives contracted[d][a] = T(a, x, x, d), so
-    # J = g^{-1} @ contracted
-    contracted = [
-        [sum(v * w for row, xrow in zip(slab, xx) for v, w in zip(row, xrow) if w)
-         for slab in plane]
-        for plane in apply_symmetry_operator(_ROTATE, tensor).to_nested()
-    ]
-    return g._inverse @ LinearMap(contracted)
+    # contracted[d][a] = T(a, x, x, d), so J = g^{-1} @ contracted
+    rows, den = _contract_middle(tensor, xv)
+    contracted = LinearMap._unchecked(tuple(
+        tuple(Fraction(v, den) for v in row) for row in rows))
+    return g._inverse @ contracted
 
 
 def _outer(u: Vector, w: Vector) -> LinearMap:
@@ -352,17 +361,31 @@ def jacobi_alpha_closed(a: DenseTensor, g: Metric,
 
 
 def char_poly(mapping: LinearMap) -> tuple[Fraction, ...]:
-    """Monic characteristic polynomial, highest power first, computed by
-    the trace-recursion (Faddeev-LeVerrier) scheme: exact in rationals."""
-    n = mapping.dim
+    """Monic characteristic polynomial, highest power first.
+
+    The trace recursion (Faddeev-LeVerrier) runs on integers: on the
+    integer matrix ``M = den * J``, with ``den`` the common denominator of
+    the entries of ``J``, every coefficient ``c_k(M)`` and every
+    intermediate matrix is an integer, so each division by ``k`` is exact
+    (a remainder raises).  The coefficients of ``J`` are
+    ``c_k(M) / den**k``.
+    """
+    m, den = mapping._numerators()
+    n = len(m)
+    columns = tuple(zip(*m))
     coefficients = [Fraction(1)]
-    identity = LinearMap.identity(n)
-    work = identity
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        product = mapping @ work
-        ck = -product.trace() / k
-        coefficients.append(ck)
-        work = product + identity.scale(ck)
+        # product = work @ M, which commutes with M @ work (both are
+        # polynomials in M)
+        product = [[sum(map(mul, row, column)) for column in columns] for row in work]
+        ck, remainder = divmod(-sum(product[i][i] for i in range(n)), k)
+        if remainder:
+            raise ArithmeticError(f"trace recursion left a remainder at step {k}")
+        coefficients.append(Fraction(ck, den ** k))
+        for i in range(n):
+            product[i][i] += ck
+        work = product
     return tuple(coefficients)
 
 

@@ -11,8 +11,12 @@ numbers inside permutations refer to argument *slots*, not index values.
 
 Entries are stored flat in row-major order, and only this module knows that
 layout.  ``_gather`` is the one place that maps a slot permutation to flat
-positions.  ``transpose`` and ``apply_symmetry_operator`` read through it,
-and every other symmetry operation in the package goes through the latter.
+positions.  ``transpose`` and the integer action ``_act`` read through it.
+``apply_symmetry_operator`` runs ``_act`` on a tensor's ``_numerators``, and
+every other symmetry operation in the package goes through it, except
+``curvature.check_curvature``, which converts its tensor once and calls
+``_act`` for each of its five elements.  ``_contract_middle`` is the Jacobi
+contraction ``T(a, x, x, d)``, on integer numerators as well.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _product
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ._exact import exact, json_int
@@ -252,6 +257,24 @@ class DenseTensor:
         return cls.from_entries(order, dim, entries)
 
 
+def _numerators(tensor: DenseTensor, *dens: int) -> tuple[list[int], int]:
+    """The entries of ``tensor`` as integer numerators over one common
+    denominator, the least common multiple of theirs and of ``dens``."""
+    den = lcm(*dens, *(v.denominator for v in tensor._data))
+    return [v.numerator * (den // v.denominator) for v in tensor._data], den
+
+
+def _act(a: GroupRingElement, ints: Sequence[int], den: int, dim: int) -> list[int]:
+    """Numerators over ``den * den`` of ``a`` applied to the tensor with
+    numerators ``ints`` over ``den``; ``den`` must be a multiple of every
+    coefficient denominator of ``a``."""
+    acc = [0] * len(ints)
+    for perm, c in a.items():
+        c = c.numerator * (den // c.denominator)
+        acc = [s + c * ints[j] for s, j in zip(acc, _gather(perm.images, dim))]
+    return acc
+
+
 def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTensor:
     """Act with ``a`` on ``tensor`` by permuting slots and summing."""
     if a.degree != tensor.order:
@@ -259,16 +282,24 @@ def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTe
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
     # integer numerators over one common denominator, one Fraction per entry
-    terms = a.items()
-    den = lcm(*(c.denominator for _, c in terms),
-              *(v.denominator for v in tensor._data))
-    data = [v.numerator * (den // v.denominator) for v in tensor._data]
-    acc = [0] * len(data)
-    for perm, c in terms:
-        c = c.numerator * (den // c.denominator)
-        acc = [s + c * data[j] for s, j in zip(acc, _gather(perm.images, tensor.dim))]
-    return DenseTensor._unchecked(tensor.order, tensor.dim,
-                                  tuple(Fraction(s, den * den) for s in acc))
+    ints, den = _numerators(tensor, *(c.denominator for _, c in a.items()))
+    return DenseTensor._unchecked(tensor.order, tensor.dim, tuple(
+        Fraction(s, den * den) for s in _act(a, ints, den, tensor.dim)))
+
+
+def _contract_middle(tensor: DenseTensor,
+                     x: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """``C[d][a] = sum over (b, c) of T[a,b,c,d] x[b] x[c]`` for an order-4
+    ``T``, as integer numerators over one denominator."""
+    n = tensor.dim
+    ints, den = _numerators(tensor)
+    dx = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (dx // v.denominator) for v in x]
+    xx = [u * w for u in xs for w in xs]
+    # fixing a and d, the entries T[a,b,c,d] lie n apart in (b, c) order
+    block = n ** 3
+    return [[sum(map(mul, xx, ints[a * block + d:(a + 1) * block:n]))
+             for a in range(n)] for d in range(n)], den * dx * dx
 
 
 def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:

@@ -1,11 +1,13 @@
 """Curvature constructors, membership criteria, and the three decompositions."""
 
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symcurv.curvature as curvature_module
 from symcurv import (
@@ -145,6 +147,88 @@ def test_both_criteria_agree_on_random_tensors():
         t = rand_curvature(rng, n) if i % 2 else rand_tensor(rng, 4, n)
         result = check_curvature(t)
         assert result.direct_ok == result.young_ok
+
+
+_CONDITION_NAMES = ("antisymmetry in the first index pair",
+                    "antisymmetry in the second index pair",
+                    "pair-exchange symmetry")
+
+
+def _entrywise_check(t: DenseTensor) -> CurvatureCheck:
+    """Both membership criteria straight from their definitions, one entry
+    at a time: the three index symmetries, the cyclic Bianchi sum, and
+    ``(ystar T)[i] == 12 T[i]`` with ``(p T)[i_1..i_4] = T[i_p(1)..i_p(4)]``."""
+    cells = list(t.indices())
+    defects = (
+        lambda i, j, k, l: t[(i, j, k, l)] + t[(j, i, k, l)],
+        lambda i, j, k, l: t[(i, j, k, l)] + t[(i, j, l, k)],
+        lambda i, j, k, l: t[(i, j, k, l)] - t[(k, l, i, j)],
+    )
+    violation = next((name for name, defect in zip(_CONDITION_NAMES, defects)
+                      if any(defect(*cell) for cell in cells)), None)
+    bianchi = sum(1 for i, j, k, l in cells
+                  if t[(i, j, k, l)] + t[(i, k, l, j)] + t[(i, l, j, k)])
+    if violation is None and bianchi:
+        violation = "first Bianchi identity"
+    ystar = canonical_elements().symmetrizer_star.items()
+    young = all(
+        sum(c * t[tuple(cell[m - 1] for m in perm.images)] for perm, c in ystar)
+        == 12 * t[cell]
+        for cell in cells)
+    return CurvatureCheck(violation is None, young, violation, bianchi)
+
+
+_PERTURBATIONS = ("none", "entry", "second pair", "pair exchange", "bianchi")
+
+
+@st.composite
+def _membership_cases(draw):
+    """An accepted tensor with mixed denominators, perturbed in one of the
+    ways that break one condition: a single entry (first pair), ``A (x) S``
+    (second pair), ``A (x) B`` (pair exchange), or ``A (x) A`` (Bianchi,
+    n >= 4)."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(_PERTURBATIONS))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    t = rand_curvature(rng, n, 1).scale(Fraction(1, rng.choice((1, 5, 7))))
+    delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 3, 7)))
+    a, b = rand_skew(rng, n), rand_skew(rng, n)
+    if kind == "entry":
+        t = t + DenseTensor.from_entries(
+            4, n, {tuple(rng.randrange(n) for _ in range(4)): delta})
+    elif kind == "second pair":
+        t = t + tensor_product(a, rand_symmetric(rng, n)).scale(delta)
+    elif kind == "pair exchange":
+        t = t + tensor_product(a, b).scale(delta)
+    elif kind == "bianchi":
+        t = t + tensor_product(a, a).scale(delta)
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(_membership_cases())
+def test_check_curvature_matches_entrywise_definitions(t):
+    assert check_curvature(t) == _entrywise_check(t)
+
+
+def test_membership_cases_reach_every_verdict():
+    """The perturbations above do produce each violation (a guard that the
+    property test is not vacuous), and the verdicts match the oracle."""
+    rng = random.Random(39)
+    t = rand_curvature(rng, 4, 1).scale(Fraction(1, 7))
+    a, b, s = rand_skew(rng, 4), rand_skew(rng, 4), rand_symmetric(rng, 4)
+    cases = {
+        None: t,
+        _CONDITION_NAMES[0]: t + DenseTensor.from_entries(4, 4, {(0, 1, 2, 3): Fraction(1, 3)}),
+        _CONDITION_NAMES[1]: t + tensor_product(a, s).scale(Fraction(2, 3)),
+        _CONDITION_NAMES[2]: t + tensor_product(a, b).scale(Fraction(-1, 7)),
+        "first Bianchi identity": t + tensor_product(a, a).scale(Fraction(1, 3)),
+    }
+    for violation, tensor in cases.items():
+        result = check_curvature(tensor)
+        assert result.first_violation == violation
+        assert result == _entrywise_check(tensor)
+        assert result.direct_ok == result.young_ok == (violation is None)
 
 
 def test_tensor_paths_read_no_single_entries(monkeypatch):
@@ -361,6 +445,53 @@ def test_decomposition_json_round_trip():
     assert all(term["map"] == "alpha" for term in payload["terms"])
     back = CurvatureDecomposition.from_json_dict(payload)
     assert back.reconstruct() == t
+
+
+_DECOMPOSITION_PAYLOAD = {
+    "kind": "pure-alpha", "dim": 2,
+    "terms": [{"map": "alpha", "sign": 1, "weight": "1",
+               "matrix": [["0", "1"], ["-1", "0"]]}],
+}
+
+
+def test_decomposition_json_payload_loads():
+    d = CurvatureDecomposition.from_json_dict(_DECOMPOSITION_PAYLOAD)
+    assert (d.kind, d.dim, d.gamma_terms) == ("pure-alpha", 2, ())
+    assert d.reconstruct() == alpha(DenseTensor.from_nested([[0, 1], [-1, 0]]))
+
+
+_MALFORMED_FIELDS = [
+    # the three fields of a payload that used to load as dim 2 with a zero
+    # alpha term, changed one at a time
+    (("dim",), 2.9, TypeError, "'dim' must be an integer"),
+    (("terms", 0, "map"), "gama", ValueError, "'map' must be"),
+    (("terms", 0, "sign"), 0.5, TypeError, "'sign' must be an integer"),
+    (("dim",), "2", TypeError, "'dim' must be an integer"),
+    (("dim",), 0, ValueError, "'dim' must be positive"),
+    (("kind",), "pure-alpah", ValueError, "'kind' must be one of"),
+    (("terms", 0, "sign"), True, TypeError, "'sign' must be an integer"),
+    (("terms", 0, "sign"), 0, ValueError, "'sign' must be 1 or -1"),
+    (("terms", 0, "sign"), 2, ValueError, "'sign' must be 1 or -1"),
+    (("terms", 0, "weight"), "0", ValueError, "'weight' must be positive"),
+    (("terms", 0, "weight"), "-1/2", ValueError, "'weight' must be positive"),
+    (("terms", 0, "weight"), 0.5, TypeError, "float"),
+    (("terms", 0, "matrix"), [["0"]], ValueError, "must be 2 x 2"),
+    (("terms", 0, "matrix"), [[["0"]]], ValueError, "must be 2 x 2"),
+    (("dim",), 3, ValueError, "must be 3 x 3"),
+]
+
+
+@pytest.mark.parametrize("path,value,error,match", _MALFORMED_FIELDS,
+                         ids=[f"{path[-1]}={value!r}" for path, value, *_ in _MALFORMED_FIELDS])
+def test_decomposition_json_refuses_malformed_fields(path, value, error, match):
+    payload = copy.deepcopy(_DECOMPOSITION_PAYLOAD)
+    *parents, key = path
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    with pytest.raises(error, match=match):
+        CurvatureDecomposition.from_json_dict(payload)
 
 
 def _term_by_term(d: CurvatureDecomposition) -> DenseTensor:

@@ -33,7 +33,8 @@ from symcurv import (
     sample_vectors,
 )
 
-from helpers import rand_skew, rand_symmetric, rand_vector
+from helpers import (rand_curvature, rand_fraction, rand_skew, rand_symmetric,
+                     rand_vector)
 
 
 def _mat(rows):
@@ -309,6 +310,34 @@ def test_jacobi_homogeneity():
     assert scaled == jacobi_operator(t, g, x).scale(c * c)
 
 
+def _non_diagonal_metric(rng, n):
+    """A random symmetric invertible metric, non-diagonal when n > 1."""
+    while True:
+        rows = rand_symmetric(rng, n).to_nested()
+        if _det(rows) and (n == 1 or rows[0][1]):
+            return Metric(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_jacobi_operator_matches_entrywise_contraction(n):
+    # oracle: g(J e_a, e_d) = sum over (b, c) of T[a,b,c,d] x_b x_c
+    rng = random.Random(300 + n)
+    for g in (_non_diagonal_metric(rng, n), Metric.standard(n, 0)):
+        for _ in range(3):
+            # only the shape is enforced, so any tensor will do
+            t = DenseTensor(4, n, [rand_fraction(rng, -3, 3, 5) for _ in range(n ** 4)])
+            # a half-odd first component keeps x fractional
+            x = (Fraction(2 * rng.randint(-3, 3) + 1, 2),) + rand_vector(rng, n)[1:]
+            j = jacobi_operator(t, g, x)
+            lowered = [[sum(g.rows[d][e] * j.rows[e][a] for e in range(n))
+                        for a in range(n)] for d in range(n)]
+            for a in range(n):
+                for d in range(n):
+                    assert lowered[d][a] == sum(
+                        t[(a, b, c, d)] * x[b] * x[c]
+                        for b in range(n) for c in range(n))
+
+
 # ------------------------------------------------------------------- char poly
 
 def test_char_poly_identity():
@@ -341,6 +370,126 @@ def test_rational_roots_fractional_and_irrational():
     roots, remainder = rational_roots((1, 0, -2))
     assert roots == ()
     assert remainder == (1, 0, -2)
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(310)
+    cases = [LinearMap([[0] * n for _ in range(n)]) for n in (1, 4)]
+    for n in range(1, 9):
+        for _ in range(2):
+            # mixed denominators up to 60
+            cases.append(LinearMap([[Fraction(rng.randint(-40, 40), rng.randint(1, 60))
+                                     for _ in range(n)] for _ in range(n)]))
+    # singular: the last row is a combination of the others
+    rows = [[rand_fraction(rng, -5, 5, 7) for _ in range(5)] for _ in range(4)]
+    rows.append([Fraction(1, 2) * u - Fraction(2, 3) * v for u, v in zip(rows[0], rows[2])])
+    cases.append(LinearMap(rows))
+    t = sympy.Symbol("t")
+    for mapping in cases:
+        reference = _sympy_rows(sympy, mapping.rows).charpoly(t).all_coeffs()
+        coefficients = char_poly(mapping)
+        assert all(isinstance(c, Fraction) for c in coefficients)
+        assert [sympy.Rational(c.numerator, c.denominator)
+                for c in coefficients] == reference
+    assert char_poly(cases[-1])[-1] == 0
+
+
+def test_linear_map_product_matches_entrywise_sum():
+    rng = random.Random(311)
+    for n in (1, 3, 6):
+        a, b = ([[rand_fraction(rng, -9, 9, 12) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        product = LinearMap(a) @ LinearMap(b)
+        assert product.rows == tuple(
+            tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+                  for j in range(n)) for i in range(n))
+        assert all(isinstance(v, Fraction) for row in product.rows for v in row)
+    with pytest.raises(ValueError, match="square"):
+        LinearMap([[1, 2]])
+
+
+# ---------------------------------------------- isometry invariance of spectra
+
+def _inverse(rows):
+    """Gauss-Jordan inverse of an invertible rational matrix."""
+    n = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [u - factor * v for u, v in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _signed_permutation(rng, p, q):
+    """A random signed permutation matrix that keeps the +1 block of
+    diag(+1 x p, -1 x q) and the -1 block apart: an isometry."""
+    images = rng.sample(range(p), p) + [p + i for i in rng.sample(range(q), q)]
+    return [[rng.choice((1, -1)) if images[j] == i else 0 for j in range(p + q)]
+            for i in range(p + q)]
+
+
+def _cayley(rng, diag):
+    """``P = (I - A)^{-1} (I + A)`` with ``A = g^{-1} K`` for a random skew
+    K: P^T g P == g whenever I - A is invertible."""
+    n = len(diag)
+    while True:
+        k = rand_skew(rng, n).to_nested()
+        a = [[diag[i] * k[i][j] for j in range(n)] for i in range(n)]  # g^{-1} = g
+        minus = [[int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+        if _det(minus):
+            plus = [[int(i == j) + a[i][j] for j in range(n)] for i in range(n)]
+            return _matmul(_inverse(minus), plus)
+
+
+def _push_forward(t, p):
+    """``(P.T)(u, v, w, z) = T(P^{-1} u, P^{-1} v, P^{-1} w, P^{-1} z)``,
+    entrywise and one slot at a time."""
+    n = t.dim
+    q = _inverse(p)
+    entries = {idx: t[idx] for idx in t.indices()}
+    for slot in range(4):
+        entries = {idx: sum(q[a][idx[slot]] * entries[idx[:slot] + (a,) + idx[slot + 1:]]
+                            for a in range(n))
+                   for idx in entries}
+    return DenseTensor.from_entries(4, n, entries)
+
+
+@pytest.mark.parametrize("p,q", [(4, 0), (2, 2)])
+def test_jacobi_spectra_invariant_under_isometries(p, q):
+    # J_{P.T}(P x) = P J_T(x) P^{-1}, so the characteristic polynomials agree
+    rng = random.Random(320 + q)
+    g = Metric.standard(p, q)
+    diag = [1] * p + [-1] * q
+    isometries = [_signed_permutation(rng, p, q) for _ in range(2)]
+    isometries += [_cayley(rng, diag) for _ in range(2)]
+    for iso in isometries:
+        assert _congruent(iso, diag) == [list(row) for row in g.rows]
+        t = rand_curvature(rng, 4, 1)
+        moved = _push_forward(t, iso)
+        for _ in range(2):
+            x = rand_vector(rng, 4)
+            px = tuple(sum(iso[i][j] * x[j] for j in range(4)) for i in range(4))
+            assert (char_poly(jacobi_operator(moved, g, px))
+                    == char_poly(jacobi_operator(t, g, x)))
+    # control: a basis change that is not an isometry moves the spectrum
+    stretch = [[2 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    t = rand_curvature(rng, 4, 1)
+    x = rand_vector(rng, 4)
+    px = (2 * x[0],) + x[1:]
+    assert (char_poly(jacobi_operator(_push_forward(t, stretch), g, px))
+            != char_poly(jacobi_operator(t, g, x)))
 
 
 # ------------------------------------------------------------ clifford family
