@@ -5,12 +5,17 @@
 else.
 ``row_reduce`` is the one Gauss-Jordan elimination in the package: the
 group-ring solve ``symgroup.solve_right_factor`` and the metric inverse in
-``osserman.Metric`` both run on it.
+``osserman.Metric`` both run on it.  It works on integer rows (callers
+bring a rational matrix to integer numerators over a common denominator
+first), never divides a pivot row through, and keeps every other row
+primitive by dividing it by its content; a reduced value is read as a
+quotient of two entries of one row, one ``Fraction`` per value read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def exact(value) -> Fraction:
@@ -36,18 +41,22 @@ def json_int(payload, key: str) -> int:
     return value
 
 
-def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Bring ``rows`` to reduced row echelon form in place; return the
-    pivot columns.
+def row_reduce(rows: list[list[int]], ncols: int) -> list[int]:
+    """Bring the integer matrix ``rows`` to a scaled reduced row echelon
+    form in place; return the pivot columns.
 
     Only the first ``ncols`` columns are eliminated; later columns (an
     augmented right-hand side or identity block) are carried along.  The
     pivot for each column is the first row at or below the current rank
-    with a nonzero entry there; that row is divided through and the column
-    is cleared in every other row, so the result is deterministic.  After
-    the call, row ``i`` of the first ``len(pivots)`` rows has a 1 in column
-    ``pivots[i]``, and the remaining rows are zero in the first ``ncols``
-    columns.
+    with a nonzero entry there.  The pivot row is not divided through:
+    every other row with a nonzero ``f`` in the pivot column becomes
+    ``pv*row - f*pivot_row`` and is then divided by its content (the gcd of
+    its entries), so entries stay integers and every updated row is
+    primitive.  Each row stays a nonzero multiple of the row that a ``Fraction``
+    elimination with the same pivot rule would hold, so the reduced
+    rational value at column ``j`` of pivot row ``i`` is
+    ``Fraction(rows[i][j], rows[i][pivots[i]])``, and the rows past
+    ``len(pivots)`` are zero in the first ``ncols`` columns.
     """
     pivots: list[int] = []
     rank = 0
@@ -58,12 +67,16 @@ def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [v / pivot for v in rows[rank]]
+        pivot_values = rows[rank]
+        pivot = pivot_values[col]
         for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                factor = row[col]
-                rows[i] = [u - factor * v for u, v in zip(row, rows[rank])]
+            factor = row[col]
+            if i != rank and factor:
+                row = [pivot * u - factor * v for u, v in zip(row, pivot_values)]
+                content = gcd(*row)
+                if content > 1:
+                    row = [u // content for u in row]
+                rows[i] = row
         pivots.append(col)
         rank += 1
     return pivots

@@ -208,12 +208,16 @@ class Metric:
         if matrix.transpose() != matrix:
             raise ValueError("metric matrix must be symmetric")
         n = matrix.dim
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(matrix.rows)]
+        # [den*A | den*I] on integers; row i then reads row i of A^-1
+        m, den = matrix._numerators()
+        work = [row + [den * (i == j) for j in range(n)]
+                for i, row in enumerate(m)]
         if len(row_reduce(work, n)) < n:
             raise ValueError("matrix is singular over the rationals")
         self._matrix = matrix
-        self._inverse = LinearMap([row[n:] for row in work])
+        self._inverse = LinearMap._unchecked(tuple(
+            tuple(Fraction(v, row[i]) for v in row[n:])
+            for i, row in enumerate(work)))
         self._signature = _signature_of(matrix.rows)
 
     @classmethod

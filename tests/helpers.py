@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 from symcurv import DenseTensor, GroupRingElement, Permutation, alpha, gamma
 
@@ -74,9 +76,19 @@ def rand_ring_element(rng: random.Random, degree: int,
 # class as its generating function over semistandard tableaux (a polynomial
 # in `nvars` variables) and compare products coefficient-by-coefficient.
 # Nothing here shares code with the lattice-word counting under test.
+#
+# Schur polynomials and their products are symmetric, and two symmetric
+# polynomials that agree at every partition-shaped (weakly decreasing)
+# exponent are equal, so `dominant_product` and `dominant_part` only look at
+# those exponents.  `schur_polynomial` asserts the symmetry that makes this
+# enough, once per polynomial it builds.
 
+@cache
 def schur_polynomial(lam, nvars: int) -> dict[tuple[int, ...], int]:
-    """Monomial dict of the degree-|lam| Schur polynomial in `nvars` variables."""
+    """Monomial dict of the degree-|lam| Schur polynomial in `nvars` variables.
+
+    Memoized: callers share the returned dict and must not mutate it.
+    """
     rows = list(lam.parts)
     if not rows:
         return {(0,) * nvars: 1}
@@ -104,6 +116,57 @@ def schur_polynomial(lam, nvars: int) -> dict[tuple[int, ...], int]:
         grid[i][j] = 0
 
     fill(0, 0)
+    _assert_symmetric(out, nvars)
+    return out
+
+
+def _assert_symmetric(poly: dict, nvars: int) -> None:
+    """Every monomial has the coefficient of its sorted exponent, and each
+    orbit under permuting the variables is present in full."""
+    orbit_sizes: dict[tuple[int, ...], int] = {}
+    for exp, coeff in poly.items():
+        key = tuple(sorted(exp, reverse=True))
+        assert poly.get(key) == coeff, (exp, coeff, poly.get(key))
+        orbit_sizes[key] = orbit_sizes.get(key, 0) + 1
+    for key, size in orbit_sizes.items():
+        expected = factorial(nvars)
+        for value in set(key):
+            expected //= factorial(key.count(value))
+        assert size == expected, (key, size, expected)
+
+
+def _dominant_exponents(weight: int, nvars: int, largest: int | None = None):
+    """Weakly decreasing exponent tuples of length `nvars` summing to `weight`."""
+    if largest is None:
+        largest = weight
+    if nvars == 0:
+        if weight == 0:
+            yield ()
+        return
+    for first in range(min(weight, largest), -1, -1):
+        for rest in _dominant_exponents(weight - first, nvars - 1, first):
+            yield (first,) + rest
+
+
+def dominant_part(poly: dict) -> dict:
+    """The terms of `poly` at partition-shaped exponents."""
+    return {exp: coeff for exp, coeff in poly.items()
+            if all(x >= y for x, y in zip(exp, exp[1:]))}
+
+
+def dominant_product(a: dict, b: dict, nvars: int) -> dict:
+    """The nonzero coefficients of `a*b` at partition-shaped exponents, each
+    as the sum of a[e_a]*b[e - e_a] over the monomials e_a of `a`."""
+    weight = sum(next(iter(a))) + sum(next(iter(b)))
+    out = {}
+    for exp in _dominant_exponents(weight, nvars):
+        coeff = 0
+        for exp_a, coeff_a in a.items():
+            rest = tuple(x - y for x, y in zip(exp, exp_a))
+            if min(rest) >= 0:
+                coeff += coeff_a * b.get(rest, 0)
+        if coeff:
+            out[exp] = coeff
     return out
 
 

@@ -1,0 +1,77 @@
+"""The integer Gauss-Jordan kernel ``_exact.row_reduce`` against sympy."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from symcurv._exact import row_reduce
+
+
+def _random_matrix(rng: random.Random) -> tuple[list[list[int]], int]:
+    """An integer matrix and the number of columns to eliminate; the
+    columns past it form an augmented block.  Some columns are zero, some
+    rows repeat or are multiples of others, and entries of both signs make
+    negative pivots common."""
+    nrows = rng.randint(1, 6)
+    ncols = rng.randint(1, 7)
+    extra = rng.choice((0, 0, 1, 3))
+    rows = [[rng.randint(-4, 4) for _ in range(ncols + extra)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = 0
+    if nrows > 1 and rng.random() < 0.5:
+        src, dst = rng.sample(range(nrows), 2)
+        rows[dst] = [rng.choice((1, -1, -2, 3)) * v for v in rows[src]]
+    return rows, ncols
+
+
+def _matrix_cases():
+    rng = random.Random(91)
+    cases = [_random_matrix(rng) for _ in range(200)]
+    # a negative first pivot and an identity block, the metric-inverse shape
+    cases.append(([[-2, 1, 1, 0], [1, -3, 0, 1]], 2))
+    # all-zero input, and a zero row between nonzero ones
+    cases.append(([[0, 0, 0], [0, 0, 0]], 3))
+    cases.append(([[0, 2, -4], [0, 0, 0], [3, 1, 1]], 3))
+    return cases
+
+
+def test_row_reduce_matches_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    for original, ncols in _matrix_cases():
+        rows = [list(row) for row in original]
+        pivots = row_reduce(rows, ncols)
+        assert all(isinstance(v, int) for row in rows for v in row)
+        full = sympy.Matrix(original)
+        left_rref, left_pivots = full[:, :ncols].rref()
+        assert pivots == list(left_pivots)
+        rank = len(pivots)
+        for i in range(rank):
+            pivot = rows[i][pivots[i]]
+            for j in range(ncols):
+                value = Fraction(rows[i][j], pivot)
+                assert value == Fraction(int(left_rref[i, j].p), int(left_rref[i, j].q))
+        assert all(not v for row in rows[rank:] for v in row[:ncols])
+        # the same row space, so no row was lost or mis-updated, and the
+        # augmented block went through the same row operations
+        assert sympy.Matrix(rows).rref() == full.rref()
+        if rank == len(rows):
+            # full row rank: the augmented block's reading is sympy's too
+            full_rref, _ = full.rref()
+            for i in range(rank):
+                pivot = rows[i][pivots[i]]
+                for j in range(ncols, len(rows[i])):
+                    value = Fraction(rows[i][j], pivot)
+                    assert value == Fraction(int(full_rref[i, j].p), int(full_rref[i, j].q))
+
+
+def test_row_reduce_divides_updated_rows_by_their_content():
+    # col 0: 2*[4,2,2] - 4*[2,4,6] = [0,-12,-20] -> [0,-3,-5], and
+    #        2*[6,6,10] - 6*[2,4,6] = [0,-12,-16] -> [0,-3,-4];
+    # col 1: -3*[2,4,6] - 4*[0,-3,-5] = [-6,0,2] -> [-3,0,1], and
+    #        -3*[0,-3,-4] + 3*[0,-3,-5] = [0,0,-3] -> [0,0,-1]
+    rows = [[2, 4, 6], [4, 2, 2], [6, 6, 10]]
+    assert row_reduce(rows, 2) == [0, 1]
+    assert rows == [[-3, 0, 1], [0, -3, -5], [0, 0, -1]]

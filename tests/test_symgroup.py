@@ -270,35 +270,55 @@ def _rational(sympy, value):
     return sympy.Rational(value.numerator, value.denominator)
 
 
+def _rref_solution(sympy, a, c, r):
+    """The reduced-row-echelon reading of ``[L | c]`` by sympy, free columns
+    set to 0, as ``{images: Fraction}``; ``None`` when ``c`` is a pivot
+    column (the system is inconsistent)."""
+    group, rows = _left_multiplication(a, r)
+    augmented = sympy.Matrix([
+        [_rational(sympy, v) for v in row] + [_rational(sympy, c.coefficient(Permutation(s)))]
+        for s, row in zip(group, rows)])
+    reduced, pivots = augmented.rref()
+    n = len(group)
+    if n in pivots:
+        return None
+    return {group[col]: Fraction(int(reduced[i, n].p), int(reduced[i, n].q))
+            for i, col in enumerate(pivots) if reduced[i, n]}
+
+
 def test_solve_agrees_with_sympy():
+    """The solution itself, not only ``a * x == c``: reduced row echelon
+    form is unique, so the kernel's reading must equal sympy's."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(6)
     solvable_seen = unsolvable_seen = 0
-    cases = itertools.product((1, 2, 3, 4), ("symmetrizer", "random"), (True, False))
-    for r, kind, in_image in cases:
+    cases = itertools.product((1, 2, 3, 4), ("symmetrizer", "random"), (True, False), (0, 1))
+    for r, kind, in_image, _ in cases:
         if kind == "symmetrizer":
             shape = rng.choice(partitions_of(r))
             a = young_symmetrizer(rng.choice(standard_tableaux(shape)))
+            a = a.scale(Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3, 7))))
         else:
             a = rand_ring_element(rng, r, terms=rng.randint(1, 3))
         c = a * rand_ring_element(rng, r) if in_image else rand_ring_element(rng, r)
-        group, rows = _left_multiplication(a, r)
-        matrix = sympy.Matrix([[_rational(sympy, v) for v in row] for row in rows])
-        rhs = sympy.Matrix([_rational(sympy, c.coefficient(Permutation(s)))
-                            for s in group])
-        try:
-            matrix.gauss_jordan_solve(rhs)
-            sympy_solvable = True
-        except ValueError:
-            sympy_solvable = False
         found = solve_right_factor(a, c)
-        assert (found is not None) == sympy_solvable
-        if found is not None:
+        expected = _rref_solution(sympy, a, c, r)
+        if expected is None:
+            assert found is None
+            unsolvable_seen += 1
+        else:
+            assert found is not None
+            assert {p.images: v for p, v in found.items()} == expected
             assert a * found == c
             solvable_seen += 1
-        else:
-            unsolvable_seen += 1
     assert solvable_seen and unsolvable_seen
+
+
+def test_gamma_preimage_is_pinned():
+    """``gamma_preimage`` feeds every pure-gamma decomposition, so the
+    solve's exact answer for it is fixed, not just its product."""
+    assert canonical_elements().gamma_preimage.to_json_dict() == {
+        "r": 4, "terms": [{"perm": [1, 3, 2, 4], "coeff": "-1/4"}]}
 
 
 # ------------------------------------------------------------------- JSON form
@@ -310,3 +330,26 @@ def test_json_round_trip():
     assert payload["r"] == 4
     assert {"perm": [2, 1, 4, 3], "coeff": "1/2"} in payload["terms"]
     assert GroupRingElement.from_json_dict(payload) == a
+
+
+@pytest.mark.parametrize("payload", [
+    {"r": 2.9, "terms": []},
+    {"r": "3", "terms": [{"perm": [1, 2, 3], "coeff": "1"}]},
+    {"r": True, "terms": []},
+], ids=["r-float", "r-string", "r-bool"])
+def test_json_refuses_non_integer_degree(payload):
+    with pytest.raises(TypeError, match="'r'"):
+        GroupRingElement.from_json_dict(payload)
+
+
+@pytest.mark.parametrize("terms", [{}, ""], ids=["dict", "string"])
+def test_json_refuses_terms_that_are_not_a_list(terms):
+    with pytest.raises(TypeError, match="'terms'"):
+        GroupRingElement.from_json_dict({"r": 3, "terms": terms})
+
+
+@pytest.mark.parametrize("perm", [[True, 2, 3], [1, 2.7, 3], [1.0, 2, 3], "123"],
+                         ids=["bool", "float", "integral-float", "string"])
+def test_json_refuses_perm_that_is_not_a_list_of_ints(perm):
+    with pytest.raises(TypeError, match="'perm'"):
+        GroupRingElement.from_json_dict({"r": 3, "terms": [{"perm": perm, "coeff": "1"}]})
