@@ -1,21 +1,31 @@
 """Exact-rational primitives shared by the package.
 
-``exact`` coerces values into rationals (floats are rejected on purpose);
-``json_int`` reads an integer field of a JSON payload and refuses anything
-else.
+``exact`` coerces values into rationals (floats are rejected on purpose).
+``strict_int`` accepts an integer and refuses bools, floats and strings
+instead of truncating or parsing them; ``json_int`` applies it to one field
+of a JSON payload.
+``numerators`` is the one conversion from rationals to integers: a list of
+Fractions becomes integer numerators over the least common multiple of
+their denominators (and of any extra denominators the caller names).  The
+group-ring product and solve, the slot-permutation action, the membership
+check, the Jacobi contraction, the one-pass reconstruction, ``LinearMap``
+products and ``char_poly`` all start from it.
 ``row_reduce`` is the one Gauss-Jordan elimination in the package: the
 group-ring solve ``symgroup.solve_right_factor`` and the metric inverse in
 ``osserman.Metric`` both run on it.  It works on integer rows (callers
-bring a rational matrix to integer numerators over a common denominator
-first), never divides a pivot row through, and keeps every other row
-primitive by dividing it by its content; a reduced value is read as a
-quotient of two entries of one row, one ``Fraction`` per value read.
+bring a rational matrix to integer numerators with ``numerators`` first),
+never divides a pivot row through, and keeps every other row primitive by
+dividing it by its content; a reduced value is read as a quotient of two
+entries of one row, one ``Fraction`` per value read.  The other exact
+kernel, the characteristic polynomial, lives with the matrices in
+``osserman.char_poly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Collection
 
 
 def exact(value) -> Fraction:
@@ -32,13 +42,26 @@ def exact(value) -> Fraction:
     return Fraction(value)
 
 
-def json_int(payload, key: str) -> int:
-    """``payload[key]``, which must be an integer: bools, floats and strings
-    are refused rather than truncated or parsed."""
-    value = payload[key]
+def strict_int(value, what: str) -> int:
+    """``value``, which must be an integer: bools, floats and strings are
+    refused rather than truncated or parsed; ``what`` names it in the error."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key!r} must be an integer, got {value!r}")
+        raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_int(payload, key: str) -> int:
+    """``payload[key]``, which must be an integer (see :func:`strict_int`)."""
+    return strict_int(payload[key], repr(key))
+
+
+def numerators(values: Collection[Fraction], *dens: int) -> tuple[list[int], int]:
+    """``(ints, den)`` with ``Fraction(i, den) == v`` for each value ``v`` and
+    its numerator ``i``, in order; ``den`` is the least common multiple of
+    the denominators of ``values`` and of ``dens``.  No values give
+    ``([], 1)``."""
+    den = lcm(*dens, *(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def row_reduce(rows: list[list[int]], ncols: int) -> list[int]:

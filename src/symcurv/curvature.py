@@ -31,13 +31,12 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from ._exact import exact, json_int
+from ._exact import exact, json_int, numerators
 from .symgroup import GroupRingElement, solve_right_factor
 from .tensor_ops import (
     DenseTensor,
     Scalar,
     _act,
-    _numerators,
     apply_symmetry_operator,
     slice_pairs,
     tensor_product,
@@ -188,21 +187,20 @@ def _quadratic_sum(dim: int,
     parts = []
     for element, require, terms in ((_GAMMA, _require_symmetric, gamma_terms),
                                     (_ALPHA, _require_skew, alpha_terms)):
-        numerators, weights = [], []
+        flats, weights = [], []
         for c, m in terms:
             require(m)
             if m.dim != dim:
                 raise ValueError(f"matrix dimension {m.dim} != {dim}")
             c = exact(c)
             if c:
-                den = math.lcm(*(v.denominator for v in m._data))
-                numerators.append([v.numerator * (den // v.denominator) for v in m._data])
+                ints, den = numerators(m._data)
+                flats.append(ints)
                 weights.append(c / (den * den))
         if not weights:
             continue
-        common = math.lcm(*(w.denominator for w in weights))
-        scales = [w.numerator * (common // w.denominator) for w in weights]
-        columns = list(zip(*numerators))
+        scales, common = numerators(weights)
+        columns = list(zip(*flats))
         live = [a for a, column in enumerate(columns) if any(column)]
         size = dim * dim
         acc = [0] * (size * size)
@@ -249,8 +247,8 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
     # convert T once; every result below is numerators over den * den
     ystar = canonical_elements().symmetrizer_star
     elements = [a for _, a in _DIRECT_CONDITIONS] + [_BIANCHI, ystar]
-    ints, den = _numerators(
-        tensor, *(c.denominator for a in elements for _, c in a.items()))
+    ints, den = numerators(
+        tensor._data, *(c.denominator for a in elements for _, c in a.items()))
     dim = tensor.dim
     first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
                             if any(_act(annihilator, ints, den, dim))), None)

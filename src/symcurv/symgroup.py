@@ -21,11 +21,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations as _one_line_tuples
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
-from ._exact import exact, json_int, row_reduce
+from ._exact import exact, json_int, numerators, row_reduce, strict_int
 
 #: Default bound on the group degree.  Supports grow like r!, so anything
 #: past 8 (40320 permutations) stops being desk-scale; callers who really
@@ -49,7 +48,7 @@ class Permutation:
     __slots__ = ("_images",)
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(strict_int(i, "permutation image") for i in images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         self._images = imgs
@@ -72,7 +71,7 @@ class Permutation:
         images = list(range(1, degree + 1))
         seen: set[int] = set()
         for cycle in cycles:
-            cyc = [int(i) for i in cycle]
+            cyc = [strict_int(i, "cycle entry") for i in cycle]
             for i in cyc:
                 if i < 1 or i > degree or i in seen:
                     raise ValueError(f"bad cycle entry {i} for degree {degree}")
@@ -184,9 +183,8 @@ def _numerators(terms: Mapping[Permutation, Fraction]
                 ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """``terms`` as ``(images, numerator)`` pairs over their common
     denominator, together with that denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return ([(p.images, c.numerator * (den // c.denominator))
-             for p, c in terms.items()], den)
+    ints, den = numerators(terms.values())
+    return list(zip([p.images for p in terms], ints)), den
 
 
 class GroupRingElement:
@@ -371,10 +369,10 @@ class GroupRingElement:
         terms = []
         for entry in entries:
             perm = entry["perm"]
-            if not isinstance(perm, list) or any(
-                    isinstance(i, bool) or not isinstance(i, int) for i in perm):
+            if not isinstance(perm, list):
                 raise TypeError(f"'perm' must be a list of integers, got {perm!r}")
-            terms.append((Permutation(perm), entry["coeff"]))
+            terms.append((Permutation([strict_int(i, "'perm' entry") for i in perm]),
+                          entry["coeff"]))
         return cls(degree, terms)
 
 

@@ -12,8 +12,9 @@ numbers inside permutations refer to argument *slots*, not index values.
 Entries are stored flat in row-major order, and only this module knows that
 layout.  ``_gather`` is the one place that maps a slot permutation to flat
 positions.  ``transpose`` and the integer action ``_act`` read through it.
-``apply_symmetry_operator`` runs ``_act`` on a tensor's ``_numerators``, and
-every other symmetry operation in the package goes through it, except
+``apply_symmetry_operator`` runs ``_act`` on the tensor's entries brought to
+integer numerators by ``_exact.numerators``, and every other symmetry
+operation in the package goes through it, except
 ``curvature.check_curvature``, which converts its tensor once and calls
 ``_act`` for each of its five elements.  ``_contract_middle`` is the Jacobi
 contraction ``T(a, x, x, d)``, on integer numerators as well.
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _product
-from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from ._exact import exact, json_int
+from ._exact import exact, json_int, numerators
 from .symgroup import GroupRingElement, Permutation, enumerate_group
 
 Scalar = Union[int, str, Fraction]
@@ -257,13 +257,6 @@ class DenseTensor:
         return cls.from_entries(order, dim, entries)
 
 
-def _numerators(tensor: DenseTensor, *dens: int) -> tuple[list[int], int]:
-    """The entries of ``tensor`` as integer numerators over one common
-    denominator, the least common multiple of theirs and of ``dens``."""
-    den = lcm(*dens, *(v.denominator for v in tensor._data))
-    return [v.numerator * (den // v.denominator) for v in tensor._data], den
-
-
 def _act(a: GroupRingElement, ints: Sequence[int], den: int, dim: int) -> list[int]:
     """Numerators over ``den * den`` of ``a`` applied to the tensor with
     numerators ``ints`` over ``den``; ``den`` must be a multiple of every
@@ -282,7 +275,7 @@ def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTe
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
     # integer numerators over one common denominator, one Fraction per entry
-    ints, den = _numerators(tensor, *(c.denominator for _, c in a.items()))
+    ints, den = numerators(tensor._data, *(c.denominator for _, c in a.items()))
     return DenseTensor._unchecked(tensor.order, tensor.dim, tuple(
         Fraction(s, den * den) for s in _act(a, ints, den, tensor.dim)))
 
@@ -292,9 +285,8 @@ def _contract_middle(tensor: DenseTensor,
     """``C[d][a] = sum over (b, c) of T[a,b,c,d] x[b] x[c]`` for an order-4
     ``T``, as integer numerators over one denominator."""
     n = tensor.dim
-    ints, den = _numerators(tensor)
-    dx = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (dx // v.denominator) for v in x]
+    ints, den = numerators(tensor._data)
+    xs, dx = numerators(x)
     xx = [u * w for u in xs for w in xs]
     # fixing a and d, the entries T[a,b,c,d] lie n apart in (b, c) order
     block = n ** 3

@@ -11,6 +11,7 @@ from itertools import permutations as _subset_orders, product as _product
 from math import factorial
 from typing import Iterable, Mapping
 
+from ._exact import strict_int
 from .symgroup import (
     DEGREE_CAP,
     GroupRingElement,
@@ -29,7 +30,7 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(x) for x in parts)
+        ps = tuple(strict_int(x, "part") for x in parts)
         if any(x <= 0 for x in ps):
             raise ValueError(f"parts must be positive: {ps}")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
@@ -125,7 +126,7 @@ class YoungTableau:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rws = tuple(tuple(int(x) for x in row) for row in rows)
+        rws = tuple(tuple(strict_int(x, "tableau entry") for x in row) for row in rows)
         if not rws or any(not row for row in rws):
             raise ValueError("tableau rows must be nonempty")
         lengths = [len(row) for row in rws]
@@ -189,7 +190,10 @@ class YoungTableau:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "YoungTableau":
-        return cls(payload["rows"])
+        rows = payload["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise TypeError(f"'rows' must be a list of lists, got {rows!r}")
+        return cls(rows)
 
 
 def hook_length_count(lam: Partition) -> int:

@@ -139,6 +139,19 @@ def test_non_integer_metric_signature_is_an_input_error(signature, tmp_path,
     assert "invalid metric JSON" in err[0]
 
 
+def test_metric_matrix_of_strings_is_an_input_error(tmp_path, capsys):
+    # ["12", "21"] used to load as [[1, 2], [2, 1]], a metric of dimension 2
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text('{"order": 4, "dim": 2, "entries": []}')
+    metric_path.write_text(json.dumps({"matrix": ["12", "21"]}))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "invalid metric JSON" in err[0]
+
+
 @pytest.mark.parametrize("mode", ["mixed", "gamma", "alpha"])
 def test_decompose_round_trips(curvature_file, tmp_path, capsys, mode):
     path, t = curvature_file

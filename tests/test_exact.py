@@ -1,11 +1,33 @@
-"""The integer Gauss-Jordan kernel ``_exact.row_reduce`` against sympy."""
+"""The exact kernels: ``_exact.numerators`` and the integer Gauss-Jordan
+``_exact.row_reduce`` against sympy."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from symcurv._exact import row_reduce
+from symcurv._exact import numerators, row_reduce
+
+
+def test_numerators_over_the_least_common_denominator():
+    rng = random.Random(17)
+    for _ in range(200):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                  for _ in range(rng.randint(1, 6))]
+        dens = [rng.randint(1, 10) for _ in range(rng.randint(0, 2))]
+        ints, den = numerators(values, *dens)
+        assert all(isinstance(i, int) for i in ints)
+        assert [Fraction(i, den) for i in ints] == values
+        assert den == math.lcm(*dens, *(v.denominator for v in values))
+
+
+def test_numerators_cases():
+    # the extra denominator 9 is part of the lcm although no value needs it
+    assert numerators([Fraction(-1, 2), Fraction(3, 4)], 9) == ([-18, 27], 36)
+    assert numerators([Fraction(-5, 6), Fraction(0), Fraction(2)]) == ([-5, 0, 12], 6)
+    assert numerators([]) == ([], 1)
+    assert numerators([], 4, 6) == ([], 12)
 
 
 def _random_matrix(rng: random.Random) -> tuple[list[list[int]], int]:

@@ -1,0 +1,187 @@
+"""Golden outputs: SHA-256 digests of seeded results that refactors must
+leave byte-identical.
+
+Each case renders one deterministic output as text: a decomposition's JSON,
+a spectrum report, metric signatures and inverses, or the stdout of a CLI
+command.  The test compares the digest of that text with the pinned one.
+A change that is meant to alter an output updates its digest and says why;
+``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints the
+current digest of every case.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from symcurv import (
+    LinearMap,
+    Metric,
+    clifford_family,
+    decompose_mixed,
+    decompose_pure,
+    osserman_spectrum_sample,
+    quaternion_triple,
+)
+from symcurv.cli import main
+
+from helpers import rand_curvature, rand_fraction
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def _decomposition(mode: str, n: int) -> str:
+    tensor = rand_curvature(random.Random(100 + n), n)
+    if mode == "mixed":
+        return _dumps(decompose_mixed(tensor).to_json_dict())
+    return _dumps(decompose_pure(tensor, mode).to_json_dict())
+
+
+def _clifford_r4() -> str:
+    g = Metric.standard(4, 0)
+    i, j, _ = quaternion_triple()
+    tensor = clifford_family(Fraction(2), [Fraction(1), Fraction(-1, 3)], [i, j], g)
+    return _dumps(osserman_spectrum_sample(tensor, g, 6, 1, seed=3).to_json_dict())
+
+
+def _split_complex_structure() -> LinearMap:
+    """Skew for diag(1, 1, -1, -1) and squaring to -Id."""
+    return LinearMap([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+
+
+def _clifford_split() -> str:
+    g = Metric.standard(2, 2)
+    tensor = clifford_family(Fraction(1, 2), [Fraction(3)], [_split_complex_structure()], g)
+    reports = [osserman_spectrum_sample(tensor, g, 5, sign, seed=4).to_json_dict()
+               for sign in (1, -1)]
+    return _dumps(reports)
+
+
+def _random_metrics() -> str:
+    """Signature and inverse of seeded symmetric matrices, n = 1..6; a
+    third have a zero diagonal, so no diagonal entry can serve as a pivot."""
+    rng = random.Random(2024)
+    lines = []
+    for k in range(180):
+        n = 1 + k % 6
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or k % 3:
+                    rows[i][j] = rows[j][i] = rand_fraction(rng, -4, 4, 3)
+        try:
+            g = Metric(rows)
+        except ValueError:
+            lines.append("singular")
+            continue
+        lines.append(_dumps([list(g.signature),
+                             [[str(v) for v in row] for row in g.inverse_rows]]))
+    return "\n".join(lines)
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _cli_on_tensor(argv: list[str], tmp_path: Path) -> str:
+    path = tmp_path / "tensor.json"
+    path.write_text(_dumps(rand_curvature(random.Random(7), 4).to_json_dict()))
+    return _cli([argv[0], str(path), *argv[1:]])
+
+
+def _cli_decompose_out(mode: str, tmp_path: Path) -> str:
+    out = tmp_path / "out.json"
+    stdout = _cli_on_tensor(["decompose", "--mode", mode, "--out", str(out)], tmp_path)
+    return stdout.replace(str(out), "OUT") + out.read_text()
+
+
+def _cli_spectrum(tmp_path: Path) -> str:
+    g = Metric.standard(2, 2)
+    tensor = clifford_family(1, [2], [_split_complex_structure()], g)
+    tensor_path, metric_path = tmp_path / "t.json", tmp_path / "g.json"
+    tensor_path.write_text(_dumps(tensor.to_json_dict()))
+    metric_path.write_text(_dumps(g.to_json_dict()))
+    return _cli(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--sign", "-", "--count", "4",
+                 "--seed", "2", "--json"])
+
+
+CASES = {
+    **{f"decompose-{mode}-n{n}": (lambda tmp, mode=mode, n=n: _decomposition(mode, n))
+       for mode in ("mixed", "gamma", "alpha") for n in (3, 4, 5)},
+    "spectrum-clifford-r4": lambda tmp: _clifford_r4(),
+    "spectrum-clifford-split": lambda tmp: _clifford_split(),
+    "metric-random-symmetric": lambda tmp: _random_metrics(),
+    **{f"cli-decompose-{mode}": (lambda tmp, mode=mode: _cli_decompose_out(mode, tmp))
+       for mode in ("mixed", "gamma", "alpha")},
+    "cli-decompose-stdout": lambda tmp: _cli_on_tensor(["decompose"], tmp),
+    "cli-check-curvature": lambda tmp: _cli_on_tensor(["check-curvature", "--json"], tmp),
+    "cli-spectrum": _cli_spectrum,
+    "cli-demo": lambda tmp: _cli(["osserman", "demo", "--json"]),
+    "cli-demo-nilpotent-alpha": lambda tmp: _cli(
+        ["osserman", "demo", "--family", "nilpotent-alpha", "--json"]),
+    "cli-nilpotent": lambda tmp: _cli(["osserman", "nilpotent", "--p", "2", "--q", "1",
+                                       "--json"]),
+    "cli-lorentz": lambda tmp: _cli(["osserman", "lorentz", "--q", "2", "--trials", "10",
+                                     "--json"]),
+    "cli-identities": lambda tmp: _cli(["identities", "--json"]),
+}
+
+GOLDEN = {
+    "cli-check-curvature": "ce2ec6bea9efd0cb4f5457d78517434a196fbb98739372e807174d300016960d",
+    "cli-decompose-alpha": "60c7f324e73c2308b5886a5a7787bf123ba0de70a4ff16c1090c0485897714c9",
+    "cli-decompose-gamma": "ac2741cd21adc2f32789cf055e006f131a1cd772c077160eed7e67af76c9b11c",
+    "cli-decompose-mixed": "56dc6895a61091bc953300b91f0e8451eb2b9067cee89cd3ae5586b2f83228c8",
+    "cli-decompose-stdout": "3cf3793e07a069f02bfcd87bd6b200325849830c04742b384fae0b18af8fe2e5",
+    "cli-demo": "16ec88a5aab301889fb579e468112c70ac277c227f7554ef68eaff076a4fdbe2",
+    "cli-demo-nilpotent-alpha": "32b8a64f3a3d2ef63852ecda7863e87a2862411c2cdc0cfc13c130c0901c0304",
+    "cli-identities": "f6eadfa94169920a90c866143d3e0556873a38de2f1f1d25c1c9c7a877b8499e",
+    "cli-lorentz": "ba7c33077bfd032072f16016573958752017952e7d999ba49c5ac169fa9c926d",
+    "cli-nilpotent": "5bc4b1bab5f4bac35fa15f36e0dd94c14a636b88e4c6eeed85dad7a36cc90a95",
+    "cli-spectrum": "551da66e7d0119060626e0b75bfcde820dfdff120f71af846d1052cbd6697635",
+    "decompose-alpha-n3": "1d89affb0ad5b2ee4e75d7f6f35df0e715e1d91d6ed5754d57639bcff70eabe0",
+    "decompose-alpha-n4": "75b230f9ca04d1402873f6cfd9c93dc4156b7048a534b4576e512b1e3b65f0cc",
+    "decompose-alpha-n5": "da8ac1129e0017807d4fd6961d775c897bf395ca28a788cdeb583eac13ab522c",
+    "decompose-gamma-n3": "5d94f2c6dfaae1ca8456aea44618301b9add586d86c8ecf287a43204850cbd28",
+    "decompose-gamma-n4": "73f700f8b714935d990f621b04c6febc2d1c929d67ac751caecf1a39788f36ee",
+    "decompose-gamma-n5": "5928d87edf792566abb36f6382ef57621a98d8d3fecb6f768b7bc80b15c442c7",
+    "decompose-mixed-n3": "3afd4c9852c92c153146fb0b9a8bc7dc45c6ec5109f9d4bdd497b4e084a42641",
+    "decompose-mixed-n4": "1c09cc1c6d31f1bcfd80158b42ba0afcb376c374d7257e11f423363250d417dc",
+    "decompose-mixed-n5": "1e9a40b300dfb161058967f55f32767a67bc138baa104260c4eac39f1fe42e9b",
+    "metric-random-symmetric": "b30ba971ee3a59bcfc593ae4967c58dfe9e56e8e62527dea1dda78a74a079294",
+    "spectrum-clifford-r4": "8205870a103c2c8b09876eb6285cd244b28c650387d309961ca518e740dd9abf",
+    "spectrum-clifford-split": "6ffc54950534ea0b8810b14d183ea91a7853482f890d2ab1f0a675cb02b2b226",
+}
+
+
+def _digest(name: str, tmp_path: Path) -> str:
+    return hashlib.sha256(CASES[name](tmp_path).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_digest(name, tmp_path):
+    assert _digest(name, tmp_path) == GOLDEN[name]
+
+
+def test_every_case_is_pinned():
+    assert set(GOLDEN) == set(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f'    "{case}": "{_digest(case, Path(tmp))}",')

@@ -146,15 +146,63 @@ def _basis_changes(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_basis_changes())
-# -> [[0, 1], [1, 0]]: no nonzero diagonal entry, the "add" branch
+# -> [[0, 1], [1, 0]]: char poly x^2 - 1 has a zero trace coefficient; a
+# zero counted as a sign of its own would give two sign changes, not one
 @example(([[Fraction(1, 2), 1], [Fraction(-1, 2), 1]], [1, -1]))
-# -> [[0, 1], [1, 1]]: a later nonzero diagonal entry, the "swap" branch
+# -> [[0, 1], [1, 1]]: char poly x^2 - x - 1, one sign change, so (1, 1)
+# although the trace is positive and the first diagonal entry is 0
 @example(([[1, 1], [1, 0]], [1, -1]))
 def test_signature_invariant_under_congruence(case):
     p, d = case
     assume(_det(p) != 0)
     expected = (sum(v > 0 for v in d), sum(v < 0 for v in d))
     assert Metric(_congruent(p, d)).signature == expected
+
+
+def _random_symmetric_rows(rng, n, zero_diagonal):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = rand_fraction(rng, -4, 4, 3)
+    return rows
+
+
+def _signature_cases():
+    rng = random.Random(77)
+    cases = [_random_symmetric_rows(rng, 1 + k % 8, k % 3 == 0) for k in range(240)]
+    hyperbolic = [[0, 1], [1, 0]]
+    # block sums of hyperbolic planes and definite blocks, up to n = 8
+    for blocks in ([hyperbolic], [hyperbolic] * 2, [hyperbolic, [[2]], [[-3]]],
+                   [hyperbolic] * 4, [[[1, 2], [2, 1]], hyperbolic, [[0, -1], [-1, 0]]]):
+        n = sum(len(b) for b in blocks)
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                rows[at + i][at:at + len(b)] = row
+            at += len(b)
+        cases.append(rows)
+    return cases
+
+
+def test_signature_matches_sympy_sturm_count():
+    # Poly.count_roots counts distinct real roots by Sturm sequences,
+    # independent of the sign-change count that Metric uses; the square-free
+    # factorization supplies the multiplicities
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    checked = 0
+    for rows in _signature_cases():
+        matrix = sympy.Matrix(rows)
+        if matrix.det() == 0:
+            continue
+        _, factors = sympy.Poly(matrix.charpoly(x).as_expr(), x).sqf_list()
+        positive = sum(m * f.count_roots(0, None) for f, m in factors)
+        n = len(rows)
+        assert Metric(rows).signature == (positive, n - positive)
+        checked += 1
+    assert checked > 200
 
 
 def test_raise_lower_round_trip_both_directions():
@@ -203,6 +251,8 @@ def test_metric_json():
     assert Metric.from_json_dict({"p": 1, "q": 3}) == g
     custom = Metric([[2, 1], [1, -3]])
     assert Metric.from_json_dict(custom.to_json_dict()) == custom
+    halves = Metric.from_json_dict({"matrix": [["1/2", "0"], ["0", "-3"]]})
+    assert halves.rows == ((Fraction(1, 2), 0), (0, -3))
 
 
 @pytest.mark.parametrize("payload", [
@@ -212,6 +262,17 @@ def test_metric_json():
 def test_metric_json_signature_must_be_integers(payload):
     with pytest.raises(TypeError, match="must be an integer"):
         Metric.from_json_dict(payload)
+
+
+# string rows used to be split into characters: ["10", "01"] loaded as the
+# 2x2 identity and ["12", "21"] as [[1, 2], [2, 1]]
+@pytest.mark.parametrize("matrix", [["10", "01"], ["12", "21"], "1", [[1, 0], "01"],
+                                    {"0": [1]}],
+                         ids=["identity-strings", "swap-strings", "string",
+                              "mixed-rows", "dict"])
+def test_metric_json_matrix_must_be_a_list_of_lists(matrix):
+    with pytest.raises(TypeError, match="'matrix' must be a list of lists"):
+        Metric.from_json_dict({"matrix": matrix})
 
 
 # ------------------------------------------------------------- jacobi operator

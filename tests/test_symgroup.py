@@ -59,6 +59,21 @@ def test_permutation_validation():
         Permutation([0, 1, 2])
 
 
+# each of these used to truncate or parse to a valid permutation
+@pytest.mark.parametrize("images", [[True, 2], [1.9, 2], [2.0, 1.0], ["2", "1"]],
+                         ids=["bool", "float", "integral-float", "string"])
+def test_permutation_refuses_non_integer_images(images):
+    with pytest.raises(TypeError, match="permutation image must be an integer"):
+        Permutation(images)
+
+
+@pytest.mark.parametrize("cycle", [(True, 2), (1.0, 2), ("1", "2")],
+                         ids=["bool", "float", "string"])
+def test_from_cycles_refuses_non_integer_entries(cycle):
+    with pytest.raises(TypeError, match="cycle entry must be an integer"):
+        Permutation.from_cycles(3, cycle)
+
+
 def test_sign():
     assert Permutation.identity(4).sign() == 1
     assert Permutation.from_cycles(4, (1, 2)).sign() == -1

@@ -47,6 +47,16 @@ def test_conjugate():
             assert conjugate(conjugate(lam)) == lam
 
 
+# each of these used to truncate or parse to a valid partition
+@pytest.mark.parametrize("parts", [[2.7, True], [2, True], [2.0, 1], ["2", "1"]],
+                         ids=["float-and-bool", "bool", "integral-float", "string"])
+def test_partition_refuses_non_integer_parts(parts):
+    with pytest.raises(TypeError, match="part must be an integer"):
+        Partition(parts)
+    with pytest.raises(TypeError, match="part must be an integer"):
+        Partition.from_json(parts)
+
+
 def test_partition_text_round_trip():
     assert Partition.from_text("3,1").parts == (3, 1)
     assert str(Partition([3, 1])) == "3,1"
@@ -61,6 +71,23 @@ def test_tableau_validation():
         YoungTableau([[1, 2], [2, 3]])  # duplicate entry
     with pytest.raises(ValueError):
         YoungTableau([[1, 2], [4, 5]])  # entries must be exactly 1..r
+
+
+# each of these used to load as [[1, 2], [3]] or as [[1], [2]]
+@pytest.mark.parametrize("rows", [[[1.0, 2], [3]], [[True, 2], [3]], [["1", 2], [3]]],
+                         ids=["float", "bool", "string"])
+def test_tableau_refuses_non_integer_entries(rows):
+    with pytest.raises(TypeError, match="tableau entry must be an integer"):
+        YoungTableau(rows)
+    with pytest.raises(TypeError, match="tableau entry must be an integer"):
+        YoungTableau.from_json_dict({"rows": rows})
+
+
+@pytest.mark.parametrize("rows", ["12", ["12", "3"], [[1, 2], (3,)], {"1": [2]}],
+                         ids=["string", "string-rows", "tuple-row", "dict"])
+def test_tableau_json_rows_must_be_a_list_of_lists(rows):
+    with pytest.raises(TypeError, match="'rows' must be a list of lists"):
+        YoungTableau.from_json_dict({"rows": rows})
 
 
 def test_tableau_text_round_trip():
