@@ -1,6 +1,7 @@
 """Exact-rational primitives shared by the package.
 
-``exact`` coerces values into rationals (floats are rejected on purpose).
+``exact`` coerces values into rationals (floats and bools are rejected on
+purpose).
 ``strict_int`` accepts an integer and refuses bools, floats and strings
 instead of truncating or parsing them; ``json_int`` applies it to one field
 of a JSON payload.
@@ -8,8 +9,8 @@ of a JSON payload.
 Fractions becomes integer numerators over the least common multiple of
 their denominators (and of any extra denominators the caller names).  The
 group-ring product and solve, the slot-permutation action, the membership
-check, the Jacobi contraction, the one-pass reconstruction, ``LinearMap``
-products and ``char_poly`` all start from it.
+check, the Jacobi contraction, the one-pass reconstruction, matrix
+products (``@`` on order-2 tensors) and ``char_poly`` all start from it.
 ``row_reduce`` is the one Gauss-Jordan elimination in the package: the
 group-ring solve ``symgroup.solve_right_factor`` and the metric inverse in
 ``osserman.Metric`` both run on it.  It works on integer rows (callers
@@ -17,8 +18,7 @@ bring a rational matrix to integer numerators with ``numerators`` first),
 never divides a pivot row through, and keeps every other row primitive by
 dividing it by its content; a reduced value is read as a quotient of two
 entries of one row, one ``Fraction`` per value read.  The other exact
-kernel, the characteristic polynomial, lives with the matrices in
-``osserman.char_poly``.
+kernel, the characteristic polynomial, is ``osserman.char_poly``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ def exact(value) -> Fraction:
 
     Floats are refused: every identity in this package is checked with
     ``==`` on rationals, and a binary float smuggled into a coefficient
-    would silently break that.
+    would silently break that.  Bools are refused too, as
+    :func:`strict_int` refuses them: a JSON ``true`` is not the number 1.
     """
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise TypeError(
-            f"float {value!r} rejected: use int, Fraction, or a 'p/q' string"
+            f"{type(value).__name__} {value!r} rejected: use int, Fraction, "
+            "or a 'p/q' string"
         )
     return Fraction(value)
 

@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._exact import exact, json_int, numerators, row_reduce
+from ._exact import exact, json_int, row_reduce
 from .curvature import (
     NotACurvatureTensor,
     _quadratic_sum,
@@ -38,115 +38,23 @@ class SignatureError(ValueError):
     """A construction was requested in a signature where it cannot exist."""
 
 
-class LinearMap:
-    """An exact-rational square matrix acting on column vectors."""
+class LinearMap(DenseTensor):
+    """An exact-rational square matrix acting on column vectors: an order-2
+    :class:`DenseTensor` built from its rows, with all of its arithmetic."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
 
     def __init__(self, rows):
         if isinstance(rows, DenseTensor):
-            if rows.order != 2:
-                raise ValueError(f"order-2 tensor required, got order {rows.order}")
-            rows = rows.to_nested()
-        self._rows = tuple(tuple(exact(v) for v in row) for row in rows)
-        if not self._rows or any(len(row) != len(self._rows) for row in self._rows):
+            rows = rows.rows
+        rows = [tuple(row) for row in rows]
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")
-
-    @classmethod
-    def _unchecked(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "LinearMap":
-        """Wrap ``rows`` without validation; callers guarantee a nonempty
-        square tuple of tuples of Fractions."""
-        out = cls.__new__(cls)
-        out._rows = rows
-        return out
+        super().__init__(2, len(rows), (v for row in rows for v in row))
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
-
-    def to_nested(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
-
-    def __call__(self, vector: Sequence[Scalar]) -> Vector:
-        vec = tuple(exact(v) for v in vector)
-        if len(vec) != self.dim:
-            raise ValueError(f"vector length {len(vec)} != dimension {self.dim}")
-        return tuple(sum(row[j] * vec[j] for j in range(self.dim))
-                     for row in self._rows)
-
-    def _require_same_dim(self, other: "LinearMap") -> None:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def _numerators(self) -> tuple[list[list[int]], int]:
-        """The entries as integer rows over one common denominator."""
-        n = len(self._rows)
-        flat, den = numerators([v for row in self._rows for v in row])
-        return [flat[i:i + n] for i in range(0, n * n, n)], den
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        self._require_same_dim(other)
-        # integer rows over da * db, one Fraction per entry of the product
-        a, da = self._numerators()
-        b, db = other._numerators()
-        den = da * db
-        columns = tuple(zip(*b))
-        return LinearMap._unchecked(tuple(
-            tuple(Fraction(sum(map(mul, row, column)), den) for column in columns)
-            for row in a
-        ))
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        self._require_same_dim(other)
-        return LinearMap._unchecked(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self._rows, other._rows)
-        ))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "LinearMap":
-        return LinearMap._unchecked(tuple(tuple(-v for v in row) for row in self._rows))
-
-    def scale(self, scalar: Scalar) -> "LinearMap":
-        factor = exact(scalar)
-        return LinearMap._unchecked(tuple(tuple(factor * v for v in row)
-                                          for row in self._rows))
-
-    def __mul__(self, scalar) -> "LinearMap":
-        if isinstance(scalar, (int, str, Fraction)):
-            return self.scale(scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "LinearMap":
-        return LinearMap._unchecked(tuple(zip(*self._rows)))
-
-    def trace(self) -> Fraction:
-        return sum(self._rows[i][i] for i in range(self.dim))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not v for row in self._rows for v in row)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearMap) and self._rows == other._rows
 
     def __repr__(self) -> str:
         return f"LinearMap(dim={self.dim})"
@@ -179,15 +87,14 @@ class Metric:
             raise ValueError("metric matrix must be symmetric")
         n = matrix.dim
         # [den*A | den*I] on integers; row i then reads row i of A^-1
-        m, den = matrix._numerators()
+        m, den = matrix._int_rows()
         work = [row + [den * (i == j) for j in range(n)]
                 for i, row in enumerate(m)]
         if len(row_reduce(work, n)) < n:
             raise ValueError("matrix is singular over the rationals")
         self._matrix = matrix
-        self._inverse = LinearMap._unchecked(tuple(
-            tuple(Fraction(v, row[i]) for v in row[n:])
-            for i, row in enumerate(work)))
+        self._inverse = LinearMap._unchecked(2, n, tuple(
+            Fraction(v, row[i]) for i, row in enumerate(work) for v in row[n:]))
         # Descartes' rule of signs: the number of positive roots is at most
         # the number of sign changes among the nonzero coefficients, with
         # equality when every root is real.  A symmetric matrix has real
@@ -237,21 +144,20 @@ class Metric:
         n = self.dim
         if len(xv) != n or len(yv) != n:
             raise ValueError(f"vectors must have dimension {n}")
-        rows = self._matrix.rows
-        return sum(xv[i] * rows[i][j] * yv[j]
-                   for i in range(n) for j in range(n) if rows[i][j])
+        return sum(xv[i] * v * yv[j] for (i, j), v in self._matrix.nonzero_items())
 
     def tensor(self) -> DenseTensor:
         """The metric as an order-2 tensor (symmetric, so gamma applies)."""
-        return DenseTensor.from_nested(self._matrix.to_nested())
+        return self._matrix
 
     def raise_form(self, form: DenseTensor) -> LinearMap:
         """The map C with ``g(C x, y) == B(x, y)``."""
-        b = LinearMap(form)
-        if b.dim != self.dim:
-            raise ValueError(f"form dimension {b.dim} != metric dimension {self.dim}")
-        # matrix of C is (B g^{-1})^T
-        return (b @ self._inverse).transpose()
+        if form.order != 2:
+            raise ValueError(f"order-2 tensor required, got order {form.order}")
+        if form.dim != self.dim:
+            raise ValueError(f"form dimension {form.dim} != metric dimension {self.dim}")
+        # matrix of C is (B g^{-1})^T == g^{-1} B^T, as g is symmetric
+        return self._inverse @ form.transpose()
 
     def lower_map(self, mapping: LinearMap) -> DenseTensor:
         """The form B with ``B(x, y) == g(C x, y)``; inverse of raise_form."""
@@ -259,7 +165,7 @@ class Metric:
             raise ValueError(
                 f"map dimension {mapping.dim} != metric dimension {self.dim}"
             )
-        return DenseTensor.from_nested((mapping.transpose() @ self._matrix).to_nested())
+        return mapping.transpose() @ self._matrix
 
     def is_skew_map(self, mapping: LinearMap) -> bool:
         """Skew as a map: the lowered form is skew-symmetric."""
@@ -308,13 +214,13 @@ def jacobi_operator(tensor: DenseTensor, g: Metric,
         raise ValueError(f"vector length {len(xv)} != dimension {n}")
     # contracted[d][a] = T(a, x, x, d), so J = g^{-1} @ contracted
     rows, den = _contract_middle(tensor, xv)
-    contracted = LinearMap._unchecked(tuple(
-        tuple(Fraction(v, den) for v in row) for row in rows))
+    contracted = LinearMap._unchecked(2, n, tuple(
+        Fraction(v, den) for row in rows for v in row))
     return g._inverse @ contracted
 
 
 def _outer(u: Vector, w: Vector) -> LinearMap:
-    return LinearMap(tuple(tuple(ue * wa for wa in w) for ue in u))
+    return LinearMap._unchecked(2, len(u), tuple(ue * wa for ue in u for wa in w))
 
 
 def jacobi_gamma_closed(s: DenseTensor, g: Metric,
@@ -353,7 +259,7 @@ def char_poly(mapping: LinearMap) -> tuple[Fraction, ...]:
     (a remainder raises).  The coefficients of ``J`` are
     ``c_k(M) / den**k``.
     """
-    m, den = mapping._numerators()
+    m, den = mapping._int_rows()
     n = len(m)
     columns = tuple(zip(*m))
     coefficients = [Fraction(1)]
@@ -563,7 +469,7 @@ def sample_vectors(dim: int, count: int, seed: int = 0) -> list[Vector]:
 def _find_anchor(g: Metric, sign: int) -> Vector:
     n = g.dim
     for i in range(n):
-        if g.rows[i][i] == sign:
+        if g._matrix[i, i] == sign:
             return tuple(Fraction(int(j == i)) for j in range(n))
     # non-diagonal or scaled metric: bounded deterministic grid search.
     # May legitimately fail: a quadric can be nonempty over the reals yet
@@ -733,7 +639,7 @@ def lorentz_checks(q: int, trials: int, samples: int = 20,
         raise ValueError(f"q must be >= 1, got {q}")
     m = 1 + q
     g = Metric.standard(1, q)
-    f = LinearMap(g.rows)
+    f = g._matrix
     rng = random.Random(seed)
     skew_ok = True
     for _ in range(trials):
@@ -746,7 +652,7 @@ def lorentz_checks(q: int, trials: int, samples: int = 20,
                         entries[(i, j)] = value
                         entries[(j, i)] = -value
         a = DenseTensor.from_entries(2, m, entries)
-        af = LinearMap(a) @ f
+        af = a @ f
         if (af @ af).is_zero:
             skew_ok = False
     s = nilpotent_sym_example(1, q)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Union
 
+from ._exact import strict_int
 from .young import Partition, partitions_of
 
 #: Littlewood-Richardson factor-weight cap; products of weight-8 shapes are
@@ -36,7 +37,7 @@ class SchurSum:
         for part, mult in items:
             if not isinstance(part, Partition):
                 part = Partition(part)
-            mult = int(mult)
+            mult = strict_int(mult, "multiplicity")
             if mult < 0:
                 raise ValueError(f"multiplicity must be >= 0, got {mult}")
             if mult:

@@ -202,7 +202,7 @@ class GroupRingElement:
         terms: Union[Mapping[Permutation, Coefficient],
                      Iterable[tuple[Permutation, Coefficient]]] = (),
     ):
-        self._degree = int(degree)
+        self._degree = strict_int(degree, "degree")
         if self._degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         data: dict[Permutation, Fraction] = {}

@@ -18,6 +18,14 @@ operation in the package goes through it, except
 ``curvature.check_curvature``, which converts its tensor once and calls
 ``_act`` for each of its five elements.  ``_contract_middle`` is the Jacobi
 contraction ``T(a, x, x, d)``, on integer numerators as well.
+
+An order-2 tensor is the package's one matrix type, and its matrix
+operations live here: ``rows``, the product ``@`` (on integer rows over
+one denominator, from ``_int_rows``), the action on a column vector
+``m(v)``, ``trace`` and ``transpose``.  Each refuses other orders with
+``ValueError``.  ``osserman.LinearMap`` only adds a rows constructor and
+``identity``; arithmetic keeps the type of its left operand, so maps stay
+maps.
 """
 
 from __future__ import annotations
@@ -186,24 +194,24 @@ class DenseTensor:
         if not isinstance(other, DenseTensor):
             return NotImplemented
         self._require_same_shape(other)
-        return DenseTensor._unchecked(self._order, self._dim, tuple(
+        return type(self)._unchecked(self._order, self._dim, tuple(
             a + b for a, b in zip(self._data, other._data)))
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
         if not isinstance(other, DenseTensor):
             return NotImplemented
         self._require_same_shape(other)
-        return DenseTensor._unchecked(self._order, self._dim, tuple(
+        return type(self)._unchecked(self._order, self._dim, tuple(
             a - b for a, b in zip(self._data, other._data)))
 
     def __neg__(self) -> "DenseTensor":
-        return DenseTensor._unchecked(self._order, self._dim,
-                                      tuple(-a for a in self._data))
+        return type(self)._unchecked(self._order, self._dim,
+                                     tuple(-a for a in self._data))
 
     def scale(self, scalar: Scalar) -> "DenseTensor":
         factor = exact(scalar)
-        return DenseTensor._unchecked(self._order, self._dim,
-                                      tuple(factor * a for a in self._data))
+        return type(self)._unchecked(self._order, self._dim,
+                                     tuple(factor * a for a in self._data))
 
     def __mul__(self, scalar) -> "DenseTensor":
         if isinstance(scalar, (int, str, Fraction)):
@@ -212,12 +220,61 @@ class DenseTensor:
 
     __rmul__ = __mul__
 
+    # ------------------------------------------- order 2: the matrix view
+
+    def _require_matrix(self, what: str) -> None:
+        if self._order != 2:
+            raise ValueError(f"{what} is for order 2, got order {self._order}")
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of an order-2 tensor, built on each read."""
+        self._require_matrix("rows")
+        n, data = self._dim, self._data
+        return tuple(data[k:k + n] for k in range(0, n * n, n))
+
+    def _int_rows(self) -> tuple[list[list[int]], int]:
+        """The rows of an order-2 tensor as integer numerators over one
+        common denominator."""
+        self._require_matrix("integer rows")
+        n = self._dim
+        flat, den = numerators(self._data)
+        return [flat[k:k + n] for k in range(0, n * n, n)], den
+
     def transpose(self) -> "DenseTensor":
         """Swap the two slots of an order-2 tensor."""
-        if self._order != 2:
-            raise ValueError(f"transpose is for order 2, got order {self._order}")
-        return DenseTensor._unchecked(2, self._dim, tuple(
+        self._require_matrix("transpose")
+        return type(self)._unchecked(2, self._dim, tuple(
             map(self._data.__getitem__, _gather((2, 1), self._dim))))
+
+    def __matmul__(self, other: "DenseTensor") -> "DenseTensor":
+        """Matrix product of two order-2 tensors."""
+        if not isinstance(other, DenseTensor):
+            return NotImplemented
+        self._require_matrix("@")
+        self._require_same_shape(other)
+        # integer rows over da * db, one Fraction per entry of the product
+        a, da = self._int_rows()
+        b, db = other._int_rows()
+        den = da * db
+        columns = tuple(zip(*b))
+        return type(self)._unchecked(2, self._dim, tuple(
+            Fraction(sum(map(mul, row, column)), den)
+            for row in a for column in columns))
+
+    def __call__(self, vector: Sequence[Scalar]) -> tuple[Fraction, ...]:
+        """The order-2 tensor applied to a column vector."""
+        self._require_matrix("applying to a vector")
+        vec = tuple(exact(v) for v in vector)
+        n, data = self._dim, self._data
+        if len(vec) != n:
+            raise ValueError(f"vector length {len(vec)} != dimension {n}")
+        return tuple(sum(map(mul, data[k:k + n], vec)) for k in range(0, n * n, n))
+
+    def trace(self) -> Fraction:
+        """Sum of the diagonal of an order-2 tensor."""
+        self._require_matrix("trace")
+        return sum(self._data[::self._dim + 1])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DenseTensor)
@@ -250,10 +307,12 @@ class DenseTensor:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "DenseTensor":
         order, dim = json_int(payload, "order"), json_int(payload, "dim")
-        entries = {
-            tuple(entry["idx"]): entry["value"]
-            for entry in payload.get("entries", ())
-        }
+        entries: dict[tuple, Scalar] = {}
+        for entry in payload.get("entries", ()):
+            idx = tuple(entry["idx"])
+            if idx in entries:
+                raise ValueError(f"index {list(idx)} appears twice in 'entries'")
+            entries[idx] = entry["value"]
         return cls.from_entries(order, dim, entries)
 
 

@@ -123,6 +123,19 @@ def test_non_integer_tensor_shape_is_an_input_error(shape, tmp_path, capsys):
     assert "invalid tensor JSON" in err[0]
 
 
+@pytest.mark.parametrize("entries", [
+    [{"idx": [0, 1, 0, 1], "value": True}],
+    [{"idx": [0, 1, 0, 1], "value": 1}, {"idx": [0, 1, 0, 1], "value": "5/2"}],
+], ids=["bool-value", "repeated-idx"])
+def test_bad_tensor_entries_are_input_errors(entries, tmp_path, capsys):
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps({"order": 4, "dim": 2, "entries": entries}))
+    assert main(["check-curvature", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "invalid tensor JSON" in err[0]
+
+
 @pytest.mark.parametrize("signature", [{"p": 3.7, "q": 0}, {"p": 3, "q": False}])
 def test_non_integer_metric_signature_is_an_input_error(signature, tmp_path,
                                                         capsys):

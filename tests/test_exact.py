@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcurv._exact import numerators, row_reduce
+from symcurv._exact import exact, numerators, row_reduce
 
 
 def test_numerators_over_the_least_common_denominator():
@@ -28,6 +28,12 @@ def test_numerators_cases():
     assert numerators([Fraction(-5, 6), Fraction(0), Fraction(2)]) == ([-5, 0, 12], 6)
     assert numerators([]) == ([], 1)
     assert numerators([], 4, 6) == ([], 12)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 2.0])
+def test_exact_refuses_bools_and_floats(value):
+    with pytest.raises(TypeError, match="rejected"):
+        exact(value)
 
 
 def _random_matrix(rng: random.Random) -> tuple[list[list[int]], int]:

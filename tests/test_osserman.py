@@ -470,6 +470,50 @@ def test_linear_map_product_matches_entrywise_sum():
         LinearMap([[1, 2]])
 
 
+def _entries(value):
+    if isinstance(value, DenseTensor):
+        return [v for row in value.rows for v in row]
+    return list(value) if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_order_two_tensor_is_the_matrix_type(n):
+    rng = random.Random(470 + n)
+    d, e = (DenseTensor(2, n, [rand_fraction(rng, -9, 9, 12) for _ in range(n * n)])
+            for _ in range(2))
+    m, k = LinearMap(d.rows), LinearMap(e.rows)
+    v = rand_vector(rng, n)
+    # the matrix operations agree on both types and stay exact
+    assert m == d and m.rows == d.rows
+    pairs = [(d @ e, m @ k), (d(v), m(v)), (d.trace(), m.trace()),
+             (d.transpose(), m.transpose()), (d + e, m + k), (d - e, m - k),
+             (d.scale("2/3"), m.scale("2/3"))]
+    for plain, mapped in pairs:
+        assert plain == mapped
+        assert all(isinstance(x, Fraction) for x in _entries(plain) + _entries(mapped))
+        if isinstance(mapped, DenseTensor):
+            assert type(mapped) is LinearMap
+    assert (d @ e).rows == tuple(
+        tuple(sum((d.rows[i][j] * e.rows[j][l] for j in range(n)), Fraction(0))
+              for l in range(n)) for i in range(n))
+    assert d(v) == tuple(sum(d.rows[i][j] * v[j] for j in range(n)) for i in range(n))
+    assert d.trace() == sum(d.rows[i][i] for i in range(n))
+    # they are matrix operations only
+    t = DenseTensor(4, n, [rand_fraction(rng) for _ in range(n ** 4)])
+    for op in (lambda: t @ t, lambda: d @ t, lambda: t(v), lambda: t.trace(),
+               lambda: t.rows, lambda: t.transpose(), lambda: LinearMap(t)):
+        with pytest.raises(ValueError, match="order 2"):
+            op()
+    # the metric's matrix and a lowered map go straight into gamma / alpha
+    g = Metric([[2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                for i in range(n)])
+    assert gamma(g.tensor()) == gamma(DenseTensor.from_nested([list(r) for r in g.rows]))
+    a = rand_skew(rng, n)
+    c = g.raise_form(a)
+    assert g.lower_map(c) == a
+    assert alpha(g.lower_map(c)) == alpha(a)
+
+
 # ---------------------------------------------- isometry invariance of spectra
 
 def _inverse(rows):

@@ -131,3 +131,10 @@ def test_schur_sum_validation_and_json():
         {"partition": [4], "multiplicity": 1},
         {"partition": [2, 2], "multiplicity": 1},
     ]}
+
+
+@pytest.mark.parametrize("terms", [[(P(2), 1.7)], [((2,), "3")]], ids=["float", "string"])
+def test_multiplicity_must_be_an_integer(terms):
+    # int(mult) used to truncate 1.7 to 1 and parse "3" as 3
+    with pytest.raises(TypeError, match="multiplicity must be an integer"):
+        SchurSum(terms)

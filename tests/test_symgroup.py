@@ -368,3 +368,16 @@ def test_json_refuses_terms_that_are_not_a_list(terms):
 def test_json_refuses_perm_that_is_not_a_list_of_ints(perm):
     with pytest.raises(TypeError, match="'perm'"):
         GroupRingElement.from_json_dict({"r": 3, "terms": [{"perm": perm, "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("degree,terms", [(2.9, []), (True, [((1,), 1)])],
+                         ids=["float", "bool"])
+def test_constructor_refuses_non_integer_degree(degree, terms):
+    # int(degree) used to truncate 2.9 to 2 and read True as 1
+    with pytest.raises(TypeError, match="degree must be an integer"):
+        GroupRingElement(degree, terms)
+
+
+def test_json_refuses_boolean_coefficient():
+    with pytest.raises(TypeError, match="bool"):
+        GroupRingElement.from_json_dict({"r": 2, "terms": [{"perm": [2, 1], "coeff": True}]})

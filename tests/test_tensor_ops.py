@@ -105,6 +105,20 @@ def test_json_shape_must_be_integers(shape):
         DenseTensor.from_json_dict({**shape, "entries": []})
 
 
+def test_json_refuses_a_repeated_index():
+    # the later of two conflicting entries used to win silently
+    payload = {"order": 2, "dim": 2, "entries": [{"idx": [0, 1], "value": 1},
+                                                 {"idx": [0, 1], "value": "5/2"}]}
+    with pytest.raises(ValueError, match="twice"):
+        DenseTensor.from_json_dict(payload)
+
+
+def test_json_refuses_a_boolean_value():
+    payload = {"order": 2, "dim": 2, "entries": [{"idx": [0, 1], "value": True}]}
+    with pytest.raises(TypeError, match="bool"):
+        DenseTensor.from_json_dict(payload)
+
+
 # --------------------------------------------------------------------- action
 
 def test_identity_acts_trivially():
