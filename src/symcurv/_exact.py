@@ -5,20 +5,17 @@ purpose).
 ``strict_int`` accepts an integer and refuses bools, floats and strings
 instead of truncating or parsing them; ``json_int`` applies it to one field
 of a JSON payload.
-``numerators`` is the one conversion from rationals to integers: a list of
-Fractions becomes integer numerators over the least common multiple of
-their denominators (and of any extra denominators the caller names).  The
-group-ring product and solve, the slot-permutation action, the membership
-check, the Jacobi contraction, the one-pass reconstruction, matrix
-products (``@`` on order-2 tensors) and ``char_poly`` all start from it.
-``row_reduce`` is the one Gauss-Jordan elimination in the package: the
-group-ring solve ``symgroup.solve_right_factor`` and the metric inverse in
-``osserman.Metric`` both run on it.  It works on integer rows (callers
-bring a rational matrix to integer numerators with ``numerators`` first),
-never divides a pivot row through, and keeps every other row primitive by
-dividing it by its content; a reduced value is read as a quotient of two
-entries of one row, one ``Fraction`` per value read.  The other exact
-kernel, the characteristic polynomial, is ``osserman.char_poly``.
+``numerators`` is the one conversion from rationals to integers: Fractions
+become integer numerators over the lcm of their denominators, in lowest
+terms.  A ``tensor_ops.DenseTensor`` is stored that way, so its
+constructors convert once and every tensor kernel works on integers;
+group-ring products and solves convert their coefficients on entry.
+``row_reduce`` is the one Gauss-Jordan elimination, under
+``symgroup.solve_right_factor`` and the metric inverse in
+``osserman.Metric``.  It works on integer rows, never divides a pivot row
+through, and keeps every other row primitive by dividing it by its
+content; a reduced value is the quotient of two entries of one row.  The
+other exact kernel, the characteristic polynomial, is ``osserman.char_poly``.
 """
 
 from __future__ import annotations
@@ -57,12 +54,11 @@ def json_int(payload, key: str) -> int:
     return strict_int(payload[key], repr(key))
 
 
-def numerators(values: Collection[Fraction], *dens: int) -> tuple[list[int], int]:
+def numerators(values: Collection[Fraction]) -> tuple[list[int], int]:
     """``(ints, den)`` with ``Fraction(i, den) == v`` for each value ``v`` and
     its numerator ``i``, in order; ``den`` is the least common multiple of
-    the denominators of ``values`` and of ``dens``.  No values give
-    ``([], 1)``."""
-    den = lcm(*dens, *(v.denominator for v in values))
+    the denominators of ``values``.  No values give ``([], 1)``."""
+    den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

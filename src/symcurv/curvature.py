@@ -36,7 +36,6 @@ from .symgroup import GroupRingElement, solve_right_factor
 from .tensor_ops import (
     DenseTensor,
     Scalar,
-    _act,
     apply_symmetry_operator,
     slice_pairs,
     tensor_product,
@@ -177,12 +176,12 @@ def _quadratic_sum(dim: int,
 
     Both maps are linear in the tensor square, so each kind costs one
     accumulation of ``sum c * vec(M) vec(M)^T`` and one application of its
-    group-ring element; a kind without nonzero terms is skipped.  Each
-    matrix is brought to integer numerators over its own denominator, and
-    the sum is accumulated on integers over one common denominator, one dot
-    product per pair of nonzero flat positions (the square is symmetric in
-    its two pairs).  Every matrix is validated as :func:`gamma` and
-    :func:`alpha` validate it.
+    group-ring element; a kind without nonzero terms is skipped.  The sum
+    runs on the stored numerators of the matrices, with each weight
+    ``c / den**2`` brought over one common denominator, one dot product per
+    pair of nonzero flat positions (the square is symmetric in its two
+    pairs).  Every matrix is validated as :func:`gamma` and :func:`alpha`
+    validate it.
     """
     parts = []
     for element, require, terms in ((_GAMMA, _require_symmetric, gamma_terms),
@@ -194,9 +193,8 @@ def _quadratic_sum(dim: int,
                 raise ValueError(f"matrix dimension {m.dim} != {dim}")
             c = exact(c)
             if c:
-                ints, den = numerators(m._data)
-                flats.append(ints)
-                weights.append(c / (den * den))
+                flats.append(m._ints)
+                weights.append(c / (m._den * m._den))
         if not weights:
             continue
         scales, common = numerators(weights)
@@ -208,10 +206,8 @@ def _quadratic_sum(dim: int,
             weighted = list(map(mul, scales, columns[a]))
             for b in live[k:]:
                 acc[a * size + b] = acc[b * size + a] = sum(map(mul, weighted, columns[b]))
-        zero = Fraction(0)
-        square = DenseTensor._unchecked(4, dim, tuple(
-            Fraction(s, common) if s else zero for s in acc))
-        parts.append(apply_symmetry_operator(element, square))
+        parts.append(apply_symmetry_operator(
+            element, DenseTensor._unchecked(4, dim, acc, common)))
     if not parts:
         return DenseTensor.zeros(4, dim)
     return parts[0] if len(parts) == 1 else parts[0] + parts[1]
@@ -244,19 +240,14 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
     """Run the direct symmetry test and the symmetrizer test side by side."""
     if tensor.order != 4:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
-    # convert T once; every result below is numerators over den * den
-    ystar = canonical_elements().symmetrizer_star
-    elements = [a for _, a in _DIRECT_CONDITIONS] + [_BIANCHI, ystar]
-    ints, den = numerators(
-        tensor._data, *(c.denominator for a in elements for _, c in a.items()))
-    dim = tensor.dim
     first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
-                            if any(_act(annihilator, ints, den, dim))), None)
-    bianchi_nonzero = sum(1 for v in _act(_BIANCHI, ints, den, dim) if v)
+                            if apply_symmetry_operator(annihilator, tensor)), None)
+    bianchi_nonzero = sum(1 for _ in bianchi_defect(tensor).nonzero_items())
     if first_violation is None and bianchi_nonzero:
         first_violation = "first Bianchi identity"
     direct_ok = first_violation is None
-    young_ok = _act(ystar, ints, den, dim) == [12 * den * v for v in ints]
+    young_ok = (apply_symmetry_operator(canonical_elements().symmetrizer_star, tensor)
+                == tensor.scale(12))
     return CurvatureCheck(direct_ok, young_ok, first_violation, bianchi_nonzero)
 
 
@@ -392,27 +383,28 @@ def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]
 
     Matrices are sign-normalized first (first nonzero entry made positive);
     this is harmless because the quadratic maps ignore the overall sign of
-    their argument.
+    their argument.  Equal matrices have equal storage, so they are merged
+    by hashing the tensors themselves; the output is ordered by entry
+    values.
     """
-    acc: dict[tuple, tuple[Fraction, DenseTensor]] = {}
+    acc: dict[DenseTensor, Fraction] = {}
     for weight, matrix in raw:
         if not weight or matrix.is_zero:
             continue
-        if next(v for v in matrix._data if v) < 0:
+        if next(v for _, v in matrix.nonzero_items()) < 0:
             matrix = -matrix
-        old = acc.get(matrix._data)
-        acc[matrix._data] = ((old[0] + weight) if old else weight, matrix)
+        acc[matrix] = acc.get(matrix, 0) + weight
     return tuple(
         DecompositionTerm(1 if total > 0 else -1, abs(total), matrix)
-        for _, (total, matrix) in sorted(acc.items())
+        for matrix, total in sorted(acc.items(), key=lambda item: item[0].rows)
         if total
     )
 
 
 def _rank_at_most_one(matrix: DenseTensor) -> bool:
-    """True iff every 2x2 minor of ``matrix`` vanishes; for a symmetric
-    matrix that is exactly ``gamma(matrix) == 0``."""
-    rows = matrix.to_nested()
+    """True iff every 2x2 minor of ``matrix`` vanishes (tested on its integer
+    numerators); for a symmetric matrix that is exactly ``gamma(matrix) == 0``."""
+    rows, _ = matrix._int_rows()
     for i, row in enumerate(rows):
         for j, pivot in enumerate(row):
             if pivot:

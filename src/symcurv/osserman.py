@@ -21,7 +21,7 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._exact import exact, json_int, row_reduce
+from ._exact import exact, json_int, numerators, row_reduce
 from .curvature import (
     NotACurvatureTensor,
     _quadratic_sum,
@@ -86,15 +86,17 @@ class Metric:
         if matrix.transpose() != matrix:
             raise ValueError("metric matrix must be symmetric")
         n = matrix.dim
-        # [den*A | den*I] on integers; row i then reads row i of A^-1
+        # [den*A | den*I] on integers; row i then reads row i of A^-1 over
+        # its pivot, and over the lcm of the pivots
         m, den = matrix._int_rows()
         work = [row + [den * (i == j) for j in range(n)]
                 for i, row in enumerate(m)]
         if len(row_reduce(work, n)) < n:
             raise ValueError("matrix is singular over the rationals")
         self._matrix = matrix
-        self._inverse = LinearMap._unchecked(2, n, tuple(
-            Fraction(v, row[i]) for i, row in enumerate(work) for v in row[n:]))
+        common = lcm(*(row[i] for i, row in enumerate(work)))
+        self._inverse = LinearMap._unchecked(2, n, [
+            v * (common // row[i]) for i, row in enumerate(work) for v in row[n:]], common)
         # Descartes' rule of signs: the number of positive roots is at most
         # the number of sign changes among the nonzero coefficients, with
         # equality when every root is real.  A symmetric matrix has real
@@ -213,14 +215,13 @@ def jacobi_operator(tensor: DenseTensor, g: Metric,
     if len(xv) != n:
         raise ValueError(f"vector length {len(xv)} != dimension {n}")
     # contracted[d][a] = T(a, x, x, d), so J = g^{-1} @ contracted
-    rows, den = _contract_middle(tensor, xv)
-    contracted = LinearMap._unchecked(2, n, tuple(
-        Fraction(v, den) for row in rows for v in row))
-    return g._inverse @ contracted
+    return g._inverse @ _contract_middle(tensor, xv)
 
 
 def _outer(u: Vector, w: Vector) -> LinearMap:
-    return LinearMap._unchecked(2, len(u), tuple(ue * wa for ue in u for wa in w))
+    us, du = numerators(u)
+    ws, dw = numerators(w)
+    return LinearMap._unchecked(2, len(u), [a * b for a in us for b in ws], du * dw)
 
 
 def jacobi_gamma_closed(s: DenseTensor, g: Metric,

@@ -9,33 +9,34 @@ composition convention of :mod:`symcurv.symgroup` this is a left action,
 Tensor indices are 0-based tuples here and in the JSON form; the 1-based
 numbers inside permutations refer to argument *slots*, not index values.
 
-Entries are stored flat in row-major order, and only this module knows that
-layout.  ``_gather`` is the one place that maps a slot permutation to flat
-positions.  ``transpose`` and the integer action ``_act`` read through it.
-``apply_symmetry_operator`` runs ``_act`` on the tensor's entries brought to
-integer numerators by ``_exact.numerators``, and every other symmetry
-operation in the package goes through it, except
-``curvature.check_curvature``, which converts its tensor once and calls
-``_act`` for each of its five elements.  ``_contract_middle`` is the Jacobi
-contraction ``T(a, x, x, d)``, on integer numerators as well.
+Entries are stored flat in row-major order as integer numerators ``_ints``
+over one positive denominator ``_den``, in lowest terms, so equal tensors
+have equal storage.  Constructors convert once with ``_exact.numerators``,
+kernels work on the integers and ``_unchecked`` reduces each result by its
+gcd; a ``Fraction`` is built only when an entry is read (``[]``,
+``nonzero_items``, ``rows``, ``to_nested``, ``trace``, ``m(v)``).
+``_gather`` alone maps a slot permutation to flat positions, for
+``transpose`` and ``apply_symmetry_operator``, the one action: ``gamma``,
+``alpha`` and every symmetry test in the package go through it.
+``curvature._quadratic_sum`` builds ``sum c vec(M) vec(M)^T`` in this
+layout, and ``_contract_middle`` is the Jacobi contraction ``T(a, x, x, d)``.
 
-An order-2 tensor is the package's one matrix type, and its matrix
-operations live here: ``rows``, the product ``@`` (on integer rows over
-one denominator, from ``_int_rows``), the action on a column vector
-``m(v)``, ``trace`` and ``transpose``.  Each refuses other orders with
-``ValueError``.  ``osserman.LinearMap`` only adds a rows constructor and
-``identity``; arithmetic keeps the type of its left operand, so maps stay
-maps.
+An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
+action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
+other orders with ``ValueError``.  ``osserman.LinearMap`` only adds a rows
+constructor and ``identity``; arithmetic keeps the type of its left
+operand, while the constructors always build a ``DenseTensor``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _product
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from ._exact import exact, json_int, numerators
+from ._exact import exact, json_int, numerators, strict_int
 from .symgroup import GroupRingElement, Permutation, enumerate_group
 
 Scalar = Union[int, str, Fraction]
@@ -56,11 +57,15 @@ def _check_shape(order: int, dim: int) -> None:
         )
 
 
-def _position(idx: Sequence[int], dim: int) -> int:
+def _position(idx: tuple, order: int, dim: int) -> int | None:
+    """Flat position of the index tuple ``idx``, or None if it is out of
+    range; an entry that is not an integer (a bool, a float) is refused."""
     pos = 0
     for i in idx:
+        if not 0 <= strict_int(i, f"every entry of index {idx!r}") < dim:
+            return None
         pos = pos * dim + i
-    return pos
+    return pos if len(idx) == order else None
 
 
 def _gather(images: Sequence[int], dim: int) -> list[int]:
@@ -75,57 +80,60 @@ def _gather(images: Sequence[int], dim: int) -> list[int]:
 
 
 class DenseTensor:
-    """An order-r tensor over ``{0..n-1}^r`` with Fraction entries, row-major."""
+    """An order-r tensor over ``{0..n-1}^r`` with rational entries, stored
+    row-major as integer numerators over one denominator in lowest terms."""
 
-    __slots__ = ("_order", "_dim", "_data")
+    __slots__ = ("_order", "_dim", "_ints", "_den")
 
     def __init__(self, order: int, dim: int, data: Iterable[Scalar]):
         _check_shape(order, dim)
-        self._order = order
-        self._dim = dim
-        entries = tuple(exact(v) for v in data)
+        entries = [exact(v) for v in data]
         if len(entries) != dim ** order:
             raise ValueError(
                 f"expected {dim ** order} entries for order {order}, dim {dim}; "
                 f"got {len(entries)}"
             )
-        self._data = entries
+        # over the lcm of reduced denominators the numerators are in lowest terms
+        ints, den = numerators(entries)
+        self._order, self._dim, self._ints, self._den = order, dim, tuple(ints), den
 
     @classmethod
-    def _unchecked(cls, order: int, dim: int,
-                   data: tuple[Fraction, ...]) -> "DenseTensor":
-        """Wrap ``data`` without validation; callers guarantee that it is a
-        tuple of ``dim ** order`` Fractions."""
+    def _unchecked(cls, order: int, dim: int, ints: Sequence[int],
+                   den: int) -> "DenseTensor":
+        """Wrap ``dim ** order`` integer numerators over ``den > 0`` without
+        validation, brought to lowest terms."""
+        common = gcd(den, *ints)
+        if common > 1:
+            ints, den = [v // common for v in ints], den // common
         out = cls.__new__(cls)
-        out._order, out._dim, out._data = order, dim, data
+        out._order, out._dim, out._ints, out._den = order, dim, tuple(ints), den
         return out
 
-    @classmethod
-    def zeros(cls, order: int, dim: int) -> "DenseTensor":
+    @staticmethod
+    def zeros(order: int, dim: int) -> "DenseTensor":
         _check_shape(order, dim)
-        return cls._unchecked(order, dim, (Fraction(0),) * dim ** order)
+        return DenseTensor._unchecked(order, dim, (0,) * dim ** order, 1)
 
-    @classmethod
-    def from_entries(cls, order: int, dim: int,
+    @staticmethod
+    def from_entries(order: int, dim: int,
                      entries: Mapping[tuple[int, ...], Scalar]) -> "DenseTensor":
         """Build from a sparse ``index tuple -> value`` mapping; rest is zero."""
         _check_shape(order, dim)
-        data = [Fraction(0)] * (dim ** order)
+        data = [Fraction(0)] * dim ** order
         for idx, value in entries.items():
-            idx = tuple(idx)
-            if len(idx) != order or any(isinstance(i, bool) or not 0 <= i < dim
-                                        for i in idx):
+            pos = _position(tuple(idx), order, dim)
+            if pos is None:
                 raise ValueError(f"index {idx} out of range for order {order}, dim {dim}")
-            data[_position(idx, dim)] = exact(value)
-        return cls._unchecked(order, dim, tuple(data))
+            data[pos] = exact(value)
+        return DenseTensor._unchecked(order, dim, *numerators(data))
 
-    @classmethod
-    def from_function(cls, order: int, dim: int,
+    @staticmethod
+    def from_function(order: int, dim: int,
                       fn: Callable[[tuple[int, ...]], Scalar]) -> "DenseTensor":
-        return cls(order, dim, (fn(idx) for idx in _product(range(dim), repeat=order)))
+        return DenseTensor(order, dim, map(fn, _product(range(dim), repeat=order)))
 
-    @classmethod
-    def from_nested(cls, nested) -> "DenseTensor":
+    @staticmethod
+    def from_nested(nested) -> "DenseTensor":
         """Build from nested lists, e.g. ``from_nested([[1, 0], [0, -1]])``."""
         order = 0
         probe = nested
@@ -150,7 +158,7 @@ class DenseTensor:
                 walk(child, depth + 1)
 
         walk(nested, 0)
-        return cls(order, dim, flat)
+        return DenseTensor(order, dim, flat)
 
     @property
     def order(self) -> int:
@@ -161,24 +169,23 @@ class DenseTensor:
         return self._dim
 
     def __getitem__(self, idx: tuple[int, ...]) -> Fraction:
-        if isinstance(idx, int):
-            idx = (idx,)
-        if len(idx) != self._order or any(not 0 <= i < self._dim for i in idx):
+        pos = _position((idx,) if isinstance(idx, int) else idx, self._order, self._dim)
+        if pos is None:
             raise IndexError(f"bad index {idx} for order {self._order}, dim {self._dim}")
-        return self._data[_position(idx, self._dim)]
+        return Fraction(self._ints[pos], self._den)
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         return _product(range(self._dim), repeat=self._order)
 
     def nonzero_items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        for pos, idx in enumerate(self.indices()):
-            value = self._data[pos]
+        den = self._den
+        for idx, value in zip(self.indices(), self._ints):
             if value:
-                yield idx, value
+                yield idx, Fraction(value, den)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._data)
+        return not any(self._ints)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -190,28 +197,30 @@ class DenseTensor:
                 f"order {other._order}, dim {other._dim}"
             )
 
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
+    def _combine(self, other: "DenseTensor", sign: int) -> "DenseTensor":
+        """``self + sign * other`` over the lcm of the two denominators."""
         if not isinstance(other, DenseTensor):
             return NotImplemented
         self._require_same_shape(other)
-        return type(self)._unchecked(self._order, self._dim, tuple(
-            a + b for a, b in zip(self._data, other._data)))
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return type(self)._unchecked(self._order, self._dim, [
+            fa * a + fb * b for a, b in zip(self._ints, other._ints)], den)
+
+    def __add__(self, other: "DenseTensor") -> "DenseTensor":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        self._require_same_shape(other)
-        return type(self)._unchecked(self._order, self._dim, tuple(
-            a - b for a, b in zip(self._data, other._data)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DenseTensor":
         return type(self)._unchecked(self._order, self._dim,
-                                     tuple(-a for a in self._data))
+                                     [-a for a in self._ints], self._den)
 
     def scale(self, scalar: Scalar) -> "DenseTensor":
-        factor = exact(scalar)
+        num, den = exact(scalar).as_integer_ratio()
         return type(self)._unchecked(self._order, self._dim,
-                                     tuple(factor * a for a in self._data))
+                                     [num * a for a in self._ints], self._den * den)
 
     def __mul__(self, scalar) -> "DenseTensor":
         if isinstance(scalar, (int, str, Fraction)):
@@ -230,22 +239,20 @@ class DenseTensor:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows of an order-2 tensor, built on each read."""
         self._require_matrix("rows")
-        n, data = self._dim, self._data
-        return tuple(data[k:k + n] for k in range(0, n * n, n))
+        return tuple(map(tuple, self.to_nested()))
 
     def _int_rows(self) -> tuple[list[list[int]], int]:
-        """The rows of an order-2 tensor as integer numerators over one
-        common denominator."""
+        """The rows of an order-2 tensor as its integer numerators, and their
+        denominator."""
         self._require_matrix("integer rows")
-        n = self._dim
-        flat, den = numerators(self._data)
-        return [flat[k:k + n] for k in range(0, n * n, n)], den
+        n, ints = self._dim, self._ints
+        return [list(ints[k:k + n]) for k in range(0, n * n, n)], self._den
 
     def transpose(self) -> "DenseTensor":
         """Swap the two slots of an order-2 tensor."""
         self._require_matrix("transpose")
         return type(self)._unchecked(2, self._dim, tuple(
-            map(self._data.__getitem__, _gather((2, 1), self._dim))))
+            map(self._ints.__getitem__, _gather((2, 1), self._dim))), self._den)
 
     def __matmul__(self, other: "DenseTensor") -> "DenseTensor":
         """Matrix product of two order-2 tensors."""
@@ -253,43 +260,44 @@ class DenseTensor:
             return NotImplemented
         self._require_matrix("@")
         self._require_same_shape(other)
-        # integer rows over da * db, one Fraction per entry of the product
         a, da = self._int_rows()
         b, db = other._int_rows()
-        den = da * db
         columns = tuple(zip(*b))
-        return type(self)._unchecked(2, self._dim, tuple(
-            Fraction(sum(map(mul, row, column)), den)
-            for row in a for column in columns))
+        return type(self)._unchecked(2, self._dim, [
+            sum(map(mul, row, column)) for row in a for column in columns], da * db)
 
     def __call__(self, vector: Sequence[Scalar]) -> tuple[Fraction, ...]:
         """The order-2 tensor applied to a column vector."""
         self._require_matrix("applying to a vector")
-        vec = tuple(exact(v) for v in vector)
-        n, data = self._dim, self._data
-        if len(vec) != n:
-            raise ValueError(f"vector length {len(vec)} != dimension {n}")
-        return tuple(sum(map(mul, data[k:k + n], vec)) for k in range(0, n * n, n))
+        xs, dx = numerators([exact(v) for v in vector])
+        if len(xs) != self._dim:
+            raise ValueError(f"vector length {len(xs)} != dimension {self._dim}")
+        rows, den = self._int_rows()
+        return tuple(Fraction(sum(map(mul, row, xs)), den * dx) for row in rows)
 
     def trace(self) -> Fraction:
         """Sum of the diagonal of an order-2 tensor."""
         self._require_matrix("trace")
-        return sum(self._data[::self._dim + 1])
+        return Fraction(sum(self._ints[::self._dim + 1]), self._den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DenseTensor)
                 and self._order == other._order
                 and self._dim == other._dim
-                and self._data == other._data)
+                and self._den == other._den
+                and self._ints == other._ints)
+
+    def __hash__(self) -> int:
+        return hash((self._order, self._dim, self._den, self._ints))
 
     def __repr__(self) -> str:
         return f"DenseTensor(order={self._order}, dim={self._dim})"
 
     def to_nested(self):
         """Inverse of :meth:`from_nested` (order-0 tensors give a bare Fraction)."""
+        nested = [Fraction(v, self._den) for v in self._ints]
         if self._order == 0:
-            return self._data[0]
-        nested = list(self._data)
+            return nested[0]
         for _ in range(self._order - 1):
             nested = [nested[k:k + self._dim] for k in range(0, len(nested), self._dim)]
         return nested
@@ -304,8 +312,8 @@ class DenseTensor:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "DenseTensor":
+    @staticmethod
+    def from_json_dict(payload: Mapping) -> "DenseTensor":
         order, dim = json_int(payload, "order"), json_int(payload, "dim")
         entries: dict[tuple, Scalar] = {}
         for entry in payload.get("entries", ()):
@@ -313,18 +321,7 @@ class DenseTensor:
             if idx in entries:
                 raise ValueError(f"index {list(idx)} appears twice in 'entries'")
             entries[idx] = entry["value"]
-        return cls.from_entries(order, dim, entries)
-
-
-def _act(a: GroupRingElement, ints: Sequence[int], den: int, dim: int) -> list[int]:
-    """Numerators over ``den * den`` of ``a`` applied to the tensor with
-    numerators ``ints`` over ``den``; ``den`` must be a multiple of every
-    coefficient denominator of ``a``."""
-    acc = [0] * len(ints)
-    for perm, c in a.items():
-        c = c.numerator * (den // c.denominator)
-        acc = [s + c * ints[j] for s, j in zip(acc, _gather(perm.images, dim))]
-    return acc
+        return DenseTensor.from_entries(order, dim, entries)
 
 
 def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTensor:
@@ -333,24 +330,26 @@ def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTe
         raise ValueError(
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
-    # integer numerators over one common denominator, one Fraction per entry
-    ints, den = numerators(tensor._data, *(c.denominator for _, c in a.items()))
-    return DenseTensor._unchecked(tensor.order, tensor.dim, tuple(
-        Fraction(s, den * den) for s in _act(a, ints, den, tensor.dim)))
+    # integer coefficients over their own common denominator
+    items = a.items()
+    coefficients, den = numerators([c for _, c in items])
+    ints, acc = tensor._ints, [0] * len(tensor._ints)
+    for (perm, _), c in zip(items, coefficients):
+        acc = [s + c * ints[j] for s, j in zip(acc, _gather(perm.images, tensor.dim))]
+    return DenseTensor._unchecked(tensor.order, tensor.dim, acc, den * tensor._den)
 
 
-def _contract_middle(tensor: DenseTensor,
-                     x: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-    """``C[d][a] = sum over (b, c) of T[a,b,c,d] x[b] x[c]`` for an order-4
-    ``T``, as integer numerators over one denominator."""
-    n = tensor.dim
-    ints, den = numerators(tensor._data)
+def _contract_middle(tensor: DenseTensor, x: Sequence[Fraction]) -> DenseTensor:
+    """The matrix ``C[d][a] = sum over (b, c) of T[a,b,c,d] x[b] x[c]`` of an
+    order-4 ``T``."""
+    n, ints = tensor.dim, tensor._ints
     xs, dx = numerators(x)
     xx = [u * w for u in xs for w in xs]
     # fixing a and d, the entries T[a,b,c,d] lie n apart in (b, c) order
     block = n ** 3
-    return [[sum(map(mul, xx, ints[a * block + d:(a + 1) * block:n]))
-             for a in range(n)] for d in range(n)], den * dx * dx
+    return DenseTensor._unchecked(2, n, [
+        sum(map(mul, xx, ints[a * block + d:(a + 1) * block:n]))
+        for d in range(n) for a in range(n)], tensor._den * dx * dx)
 
 
 def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:
@@ -359,8 +358,8 @@ def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:
         raise ValueError(f"need two order-2 tensors, got orders {m.order}, {n.order}")
     if m.dim != n.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {n.dim}")
-    return DenseTensor._unchecked(4, m.dim, tuple(
-        x * y for x in m._data for y in n._data))
+    return DenseTensor._unchecked(4, m.dim, [
+        x * y for x in m._ints for y in n._ints], m._den * n._den)
 
 
 def to_group_ring(tensor: DenseTensor,
@@ -402,8 +401,8 @@ def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:
     """
     if tensor.order != 4:
         raise ValueError(f"slice_pairs needs order 4, got {tensor.order}")
-    n = tensor.dim
-    slabs = [DenseTensor._unchecked(2, n, tensor._data[kl::n * n]) for kl in range(n * n)]
+    n, ints, den = tensor.dim, tensor._ints, tensor._den
+    slabs = [DenseTensor._unchecked(2, n, ints[kl::n * n], den) for kl in range(n * n)]
     return [(slab, DenseTensor.from_entries(2, n, {divmod(kl, n): 1}))
             for kl, slab in enumerate(slabs) if not slab.is_zero]
 

@@ -100,7 +100,7 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys):
 
 def test_boolean_index_is_an_input_error(tmp_path, capsys):
     from symcurv import DenseTensor
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match=r"index \(True, 0, 0, 1\)"):
         DenseTensor.from_entries(4, 2, {(True, 0, 0, 1): 1})
     path = tmp_path / "bool.json"
     path.write_text(json.dumps({

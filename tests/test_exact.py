@@ -15,19 +15,16 @@ def test_numerators_over_the_least_common_denominator():
     for _ in range(200):
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                   for _ in range(rng.randint(1, 6))]
-        dens = [rng.randint(1, 10) for _ in range(rng.randint(0, 2))]
-        ints, den = numerators(values, *dens)
+        ints, den = numerators(values)
         assert all(isinstance(i, int) for i in ints)
         assert [Fraction(i, den) for i in ints] == values
-        assert den == math.lcm(*dens, *(v.denominator for v in values))
+        assert den == math.lcm(*(v.denominator for v in values))
 
 
 def test_numerators_cases():
-    # the extra denominator 9 is part of the lcm although no value needs it
-    assert numerators([Fraction(-1, 2), Fraction(3, 4)], 9) == ([-18, 27], 36)
+    assert numerators([Fraction(-1, 2), Fraction(3, 4)]) == ([-2, 3], 4)
     assert numerators([Fraction(-5, 6), Fraction(0), Fraction(2)]) == ([-5, 0, 12], 6)
     assert numerators([]) == ([], 1)
-    assert numerators([], 4, 6) == ([], 12)
 
 
 @pytest.mark.parametrize("value", [True, False, 0.5, 2.0])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from symcurv import (
     DenseTensor,
     GroupRingElement,
+    LinearMap,
     Permutation,
     apply_symmetry_operator,
     canonical_elements,
@@ -67,7 +68,7 @@ def test_arithmetic_results_stay_exact():
                              (t.scale("3/2"), [[Fraction(3, 2), Fraction(3, 4)],
                                                [Fraction(-9, 2), 0]])):
         assert result == DenseTensor.from_nested(expected)
-        assert all(type(v) is Fraction for v in result._data)
+        assert all(type(result[idx]) is Fraction for idx in result.indices())
     with pytest.raises(TypeError):
         t.scale(0.5)  # floats rejected by scale as by the constructor
     with pytest.raises(TypeError):
@@ -83,6 +84,41 @@ def test_dense_tensor_indexing_and_equality():
     assert t == DenseTensor(2, 2, [1, 2, 3, 4])
     assert t != DenseTensor(2, 2, [1, 2, 3, 5])
     assert t.transpose() == DenseTensor.from_nested([[1, 3], [2, 4]])
+
+
+def test_index_entries_must_be_integers():
+    t = DenseTensor.from_nested([[1, 2], [3, 4]])
+    with pytest.raises(TypeError, match=r"index \(True, 0\)"):
+        t[(True, 0)]  # not entry (1, 0)
+    with pytest.raises(TypeError, match=r"index \(0, 1\.0\)"):
+        DenseTensor.from_entries(2, 2, {(0, 1.0): 1})
+
+
+def test_constructors_build_dense_tensors_on_the_matrix_subclass():
+    assert LinearMap.from_nested([[1, 0], [0, 1]]) == LinearMap.identity(2)
+    zeros = LinearMap.zeros(4, 2)
+    assert type(zeros) is DenseTensor and zeros.order == 4 and zeros.is_zero
+    assert type(LinearMap.from_entries(2, 2, {(0, 1): 1})) is DenseTensor
+    assert type(LinearMap.from_function(2, 2, sum)) is DenseTensor
+    payload = DenseTensor.from_nested([[0, 1], [2, 0]]).to_json_dict()
+    assert type(LinearMap.from_json_dict(payload)) is DenseTensor
+
+
+@pytest.mark.parametrize("build", [DenseTensor.from_nested, LinearMap],
+                         ids=["DenseTensor", "LinearMap"])
+def test_cancelled_denominators_give_the_integer_tensor(build):
+    # storage is in lowest terms, so equal values mean equal storage
+    t = build([[1, -2], [3, 4]])
+    a = build([["1/2", "1/3"], [2, "3/2"]])
+    b = build([[2, 0], [6, 6]])
+    for result, expected in ((t.scale("1/3").scale(3), t),
+                             (t + t - t, t),
+                             (a - a + t, t),
+                             (t.scale(0), DenseTensor.zeros(2, 2)),
+                             (a @ b, build([[3, 2], [13, 9]]))):
+        assert result == expected
+        assert hash(result) == hash(expected)
+        assert result.to_json_dict() == expected.to_json_dict()
 
 
 def test_json_round_trip():
