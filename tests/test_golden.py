@@ -2,8 +2,9 @@
 leave byte-identical.
 
 Each case renders one deterministic output as text: a decomposition's JSON,
-a spectrum report, metric signatures and inverses, or the stdout of a CLI
-command.  The test compares the digest of that text with the pinned one.
+a spectrum report, metric signatures and inverses, the JSON of group-ring
+elements (symmetrizers, idempotents, the canonical elements and right-factor
+solves), or the stdout of a CLI command.  The test compares the digest of that text with the pinned one.
 A change that is meant to alter an output updates its digest and says why;
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints the
 current digest of every case.
@@ -12,6 +13,7 @@ current digest of every case.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,17 +24,25 @@ from pathlib import Path
 import pytest
 
 from symcurv import (
+    GroupRingElement,
     LinearMap,
     Metric,
+    canonical_elements,
     clifford_family,
+    curvature_tableau,
     decompose_mixed,
     decompose_pure,
+    derivative_idempotent,
     osserman_spectrum_sample,
+    partitions_of,
     quaternion_triple,
+    solve_right_factor,
+    standard_tableaux,
+    young_symmetrizer,
 )
 from symcurv.cli import main
 
-from helpers import rand_curvature, rand_fraction
+from helpers import rand_curvature, rand_fraction, rand_ring_element
 
 
 def _dumps(payload) -> str:
@@ -88,6 +98,36 @@ def _random_metrics() -> str:
     return "\n".join(lines)
 
 
+def _symmetrizers(r: int) -> str:
+    """The symmetrizer of every standard tableau of degree ``r``."""
+    return "\n".join(_dumps([tableau.rows, young_symmetrizer(tableau).to_json_dict()])
+                     for shape in partitions_of(r) for tableau in standard_tableaux(shape))
+
+
+def _canonical_elements() -> str:
+    elements = canonical_elements()
+    return _dumps({field.name: getattr(elements, field.name).to_json_dict()
+                   for field in dataclasses.fields(elements)})
+
+
+def _solves() -> str:
+    """Five seeded solvable right-factor problems, half of them with a
+    singular left factor, then one without a solution."""
+    rng = random.Random(15)
+    lines = []
+    for r, singular in ((3, False), (3, True), (4, False), (4, True), (5, True)):
+        if singular:
+            tableau = rng.choice(standard_tableaux(rng.choice(partitions_of(r)[1:-1])))
+            a = young_symmetrizer(tableau).scale(rand_fraction(rng, 1, 5, 3))
+        else:
+            a = rand_ring_element(rng, r, terms=3)
+        c = a * rand_ring_element(rng, r)
+        lines.append(_dumps(solve_right_factor(a, c).to_json_dict()))
+    y = young_symmetrizer(curvature_tableau())
+    lines.append(_dumps(solve_right_factor(y, GroupRingElement.one(4))))
+    return "\n".join(lines)
+
+
 def _cli(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -137,9 +177,18 @@ CASES = {
     "cli-lorentz": lambda tmp: _cli(["osserman", "lorentz", "--q", "2", "--trials", "10",
                                      "--json"]),
     "cli-identities": lambda tmp: _cli(["identities", "--json"]),
+    **{f"young-symmetrizers-r{r}": (lambda tmp, r=r: _symmetrizers(r)) for r in (4, 5)},
+    **{f"derivative-idempotent-u{u}": (
+        lambda tmp, u=u: _dumps(derivative_idempotent(u).to_json_dict())) for u in (0, 1, 2)},
+    "canonical-elements": lambda tmp: _canonical_elements(),
+    "solve-right-factor": lambda tmp: _solves(),
 }
 
 GOLDEN = {
+    "canonical-elements": "9856ea9611a927b8f1e718956c3307b679b29b464794c6b521c73c76e22a5799",
+    "derivative-idempotent-u0": "be738558849d6b3c393e1b3291b96b304d211122b8541b06f64183cebee9f509",
+    "derivative-idempotent-u1": "4ab7557f33b45594649c700bfd00cc20bb82c1c9c02315526fb06fd82a4532f2",
+    "derivative-idempotent-u2": "fe16fcfc8613e52190e75f2ac6b80e22010883de68911bdb366839452f7327d3",
     "cli-check-curvature": "ce2ec6bea9efd0cb4f5457d78517434a196fbb98739372e807174d300016960d",
     "cli-decompose-alpha": "60c7f324e73c2308b5886a5a7787bf123ba0de70a4ff16c1090c0485897714c9",
     "cli-decompose-gamma": "ac2741cd21adc2f32789cf055e006f131a1cd772c077160eed7e67af76c9b11c",
@@ -161,8 +210,11 @@ GOLDEN = {
     "decompose-mixed-n4": "1c09cc1c6d31f1bcfd80158b42ba0afcb376c374d7257e11f423363250d417dc",
     "decompose-mixed-n5": "1e9a40b300dfb161058967f55f32767a67bc138baa104260c4eac39f1fe42e9b",
     "metric-random-symmetric": "b30ba971ee3a59bcfc593ae4967c58dfe9e56e8e62527dea1dda78a74a079294",
+    "solve-right-factor": "ee3bc109605448c454917db3def2904ab2de6d471ffb6736a6050f724007fbb9",
     "spectrum-clifford-r4": "8205870a103c2c8b09876eb6285cd244b28c650387d309961ca518e740dd9abf",
     "spectrum-clifford-split": "6ffc54950534ea0b8810b14d183ea91a7853482f890d2ab1f0a675cb02b2b226",
+    "young-symmetrizers-r4": "52cbac5f4db8ae7afee4763ee57042f6aafc2f9f738f899667f06e36a79c7dad",
+    "young-symmetrizers-r5": "b79e80bf55703c553dd1d1a5d96dbe0b0c48c867796538cdd8e602ec6477ab39",
 }
 
 
