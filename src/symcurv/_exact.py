@@ -7,9 +7,10 @@ instead of truncating or parsing them; ``json_int`` applies it to one field
 of a JSON payload.
 ``numerators`` is the one conversion from rationals to integers: Fractions
 become integer numerators over the lcm of their denominators, in lowest
-terms.  A ``tensor_ops.DenseTensor`` is stored that way, so its
-constructors convert once and every tensor kernel works on integers;
-group-ring products and solves convert their coefficients on entry.
+terms, and ``reduced`` restores lowest terms after integer arithmetic.  A
+``tensor_ops.DenseTensor`` and a ``symgroup.GroupRingElement`` are stored
+that way, so their constructors convert once and every kernel works on the
+stored integers.
 ``row_reduce`` is the one Gauss-Jordan elimination, under
 ``symgroup.solve_right_factor`` and the metric inverse in
 ``osserman.Metric``.  It works on integer rows, never divides a pivot row
@@ -60,6 +61,15 @@ def numerators(values: Collection[Fraction]) -> tuple[list[int], int]:
     the denominators of ``values``.  No values give ``([], 1)``."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def reduced(ints: Collection[int], den: int) -> tuple[Collection[int], int]:
+    """``ints`` over ``den > 0`` with their common gcd divided out (``ints``
+    itself when it is 1); without numerators the denominator becomes 1."""
+    common = gcd(den, *ints)
+    if common > 1:
+        return [v // common for v in ints], den // common
+    return ints, den
 
 
 def row_reduce(rows: list[list[int]], ncols: int) -> list[int]:

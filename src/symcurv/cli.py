@@ -58,6 +58,9 @@ def _load_json(path: str):
         raise _InputError(
             f"{path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"
         )
+    except (ValueError, RecursionError) as err:
+        # bytes that are not UTF-8, a number too long to convert, deep nesting
+        raise _InputError(f"{path}: unreadable JSON: {err}")
 
 
 def _load_tensor(path: str, expect_order: int | None = None) -> DenseTensor:

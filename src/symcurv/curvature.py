@@ -385,18 +385,20 @@ def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]
     this is harmless because the quadratic maps ignore the overall sign of
     their argument.  Equal matrices have equal storage, so they are merged
     by hashing the tensors themselves; the output is ordered by entry
-    values.
+    values, compared as numerators over the lcm of all their denominators.
     """
     acc: dict[DenseTensor, Fraction] = {}
     for weight, matrix in raw:
         if not weight or matrix.is_zero:
             continue
-        if next(v for _, v in matrix.nonzero_items()) < 0:
+        if next(v for v in matrix._ints if v) < 0:
             matrix = -matrix
         acc[matrix] = acc.get(matrix, 0) + weight
+    common = math.lcm(*(matrix._den for matrix in acc))
     return tuple(
         DecompositionTerm(1 if total > 0 else -1, abs(total), matrix)
-        for matrix, total in sorted(acc.items(), key=lambda item: item[0].rows)
+        for matrix, total in sorted(acc.items(), key=lambda item: [
+            common // item[0]._den * v for v in item[0]._ints])
         if total
     )
 

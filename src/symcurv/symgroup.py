@@ -11,9 +11,11 @@ Conventions, fixed here once for the whole package:
   it is an anti-homomorphism: ``star(a*b) == star(b)*star(a)``.
 
 Coefficients are ``fractions.Fraction`` at the API; floats are rejected.
-Inside a product each factor is brought to integer numerators over its own
-common denominator, the convolution accumulates integer products keyed by
-one-line image tuples, and one ``Fraction`` is built per output term.
+An element stores integer numerators keyed by one-line image tuples over one
+positive denominator.  The constructor converts once, every kernel (and
+``tensor_ops.apply_symmetry_operator``) works on the stored integers, and a
+``Fraction`` is built only when a coefficient is read (``coefficient``,
+``items``, and so ``str`` and ``to_json_dict``).
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations as _one_line_tuples
+from math import lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
-from ._exact import exact, json_int, numerators, row_reduce, strict_int
+from ._exact import exact, json_int, numerators, reduced, row_reduce, strict_int
 
 #: Default bound on the group degree.  Supports grow like r!, so anything
 #: past 8 (40320 permutations) stops being desk-scale; callers who really
@@ -165,10 +168,10 @@ def _right_composer(q_images: tuple[int, ...]):
     return itemgetter(*[x - 1 for x in q_images])
 
 
-def _convolve(left: list[tuple[tuple[int, ...], int]],
+def _convolve(left: Collection[tuple[tuple[int, ...], int]],
               right: Iterable[tuple[tuple[int, ...], int]]
               ) -> dict[tuple[int, ...], int]:
-    """Integer convolution of ``(images, coefficient)`` term lists: the sum
+    """Integer convolution of ``(images, coefficient)`` pairs: the sum
     of ``a*b`` at ``p * q`` over all ``(p, a)`` in ``left`` and ``(q, b)`` in
     ``right``.  Entries that cancel to 0 are kept; callers drop them."""
     sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
@@ -179,22 +182,15 @@ def _convolve(left: list[tuple[tuple[int, ...], int]],
     return sums
 
 
-def _numerators(terms: Mapping[Permutation, Fraction]
-                ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """``terms`` as ``(images, numerator)`` pairs over their common
-    denominator, together with that denominator."""
-    ints, den = numerators(terms.values())
-    return list(zip([p.images for p in terms], ints)), den
-
-
 class GroupRingElement:
     """A finitely supported map ``Permutation -> Fraction``.
 
-    Zero coefficients are never stored.  Instances are immutable by
+    Zero coefficients are never stored and the rest are kept in lowest
+    terms, so equal elements have equal storage.  Instances are immutable by
     convention; all arithmetic returns fresh elements.
     """
 
-    __slots__ = ("_degree", "_terms")
+    __slots__ = ("_degree", "_ints", "_den")
 
     def __init__(
         self,
@@ -205,7 +201,7 @@ class GroupRingElement:
         self._degree = strict_int(degree, "degree")
         if self._degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        data: dict[Permutation, Fraction] = {}
+        keys, values = [], []
         items = terms.items() if isinstance(terms, Mapping) else terms
         for perm, coeff in items:
             if not isinstance(perm, Permutation):
@@ -214,25 +210,25 @@ class GroupRingElement:
                 raise ValueError(
                     f"term degree {perm.degree} != element degree {self._degree}"
                 )
-            value = exact(coeff)
-            if not value:
-                continue
-            merged = data.get(perm, Fraction(0)) + value
-            if merged:
-                data[perm] = merged
-            else:
-                data.pop(perm, None)
-        self._terms = data
+            keys.append(perm.images)
+            values.append(exact(coeff))
+        ints, den = numerators(values)
+        sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for images, numerator in zip(keys, ints):
+            sums[images] += numerator
+        element = GroupRingElement._unchecked(self._degree, sums, den)
+        self._ints, self._den = element._ints, element._den
 
     @classmethod
-    def _from_numerators(cls, degree: int,
-                         numerators: Mapping[tuple[int, ...], int],
-                         denominator: int = 1) -> "GroupRingElement":
-        """The element ``sum of n/denominator * images`` over the nonzero
-        entries of ``numerators``, keyed by valid image tuples of ``degree``."""
-        out = cls(degree)
-        out._terms = {Permutation._unchecked(images): Fraction(n, denominator)
-                      for images, n in numerators.items() if n}
+    def _unchecked(cls, degree: int, ints: Mapping[tuple[int, ...], int],
+                   den: int) -> "GroupRingElement":
+        """The element ``sum of n/den * images`` over the entries of ``ints``,
+        keyed by valid image tuples of ``degree``, with ``den > 0``; zero
+        entries are dropped and the rest brought to lowest terms."""
+        nonzero = {images: n for images, n in ints.items() if n}
+        values, den = reduced(nonzero.values(), den)
+        out = cls.__new__(cls)
+        out._degree, out._ints, out._den = degree, dict(zip(nonzero, values)), den
         return out
 
     @classmethod
@@ -254,20 +250,21 @@ class GroupRingElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._ints
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._ints)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._ints)
 
     def coefficient(self, perm: Permutation) -> Fraction:
-        return self._terms.get(perm, Fraction(0))
+        return Fraction(self._ints.get(perm.images, 0), self._den)
 
     def items(self) -> list[tuple[Permutation, Fraction]]:
         """Terms sorted by one-line notation (deterministic)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].images)
+        return [(Permutation._unchecked(images), Fraction(n, self._den))
+                for images, n in sorted(self._ints.items())]
 
     def _require_same_degree(self, other: "GroupRingElement") -> None:
         if other._degree != self._degree:
@@ -275,45 +272,40 @@ class GroupRingElement:
                 f"degree mismatch: {self._degree} vs {other._degree}"
             )
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def _combine(self, other: "GroupRingElement", sign: int) -> "GroupRingElement":
+        """``self + sign * other`` over the lcm of the two denominators."""
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._require_same_degree(other)
-        data = dict(self._terms)
-        for perm, value in other._terms.items():
-            merged = data.get(perm, Fraction(0)) + value
-            if merged:
-                data[perm] = merged
-            else:
-                data.pop(perm, None)
-        out = GroupRingElement(self._degree)
-        out._terms = data
-        return out
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        sums = {images: fa * n for images, n in self._ints.items()}
+        for images, n in other._ints.items():
+            sums[images] = sums.get(images, 0) + fb * n
+        return GroupRingElement._unchecked(self._degree, sums, den)
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "GroupRingElement":
-        out = GroupRingElement(self._degree)
-        out._terms = {p: -c for p, c in self._terms.items()}
-        return out
+        return GroupRingElement._unchecked(
+            self._degree, {images: -n for images, n in self._ints.items()}, self._den)
 
     def scale(self, scalar: Coefficient) -> "GroupRingElement":
-        factor = exact(scalar)
-        out = GroupRingElement(self._degree)
-        if factor:
-            out._terms = {p: factor * c for p, c in self._terms.items()}
-        return out
+        num, den = exact(scalar).as_integer_ratio()
+        return GroupRingElement._unchecked(
+            self._degree, {images: num * n for images, n in self._ints.items()},
+            self._den * den)
 
     def __mul__(self, other) -> "GroupRingElement":
         if isinstance(other, GroupRingElement):
             self._require_same_degree(other)
-            left, left_den = _numerators(self._terms)
-            right, right_den = _numerators(other._terms)
-            return GroupRingElement._from_numerators(
-                self._degree, _convolve(left, right), left_den * right_den)
+            return GroupRingElement._unchecked(
+                self._degree, _convolve(self._ints.items(), other._ints.items()),
+                self._den * other._den)
         if isinstance(other, (int, str, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -325,25 +317,22 @@ class GroupRingElement:
 
     def star(self) -> "GroupRingElement":
         """The involution sending each permutation to its inverse."""
-        out = GroupRingElement(self._degree)
-        out._terms = {p.inverse(): c for p, c in self._terms.items()}
-        return out
+        return GroupRingElement._unchecked(self._degree, {
+            Permutation._unchecked(images).inverse().images: n
+            for images, n in self._ints.items()}, self._den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupRingElement)
                 and self._degree == other._degree
-                and self._terms == other._terms)
+                and self._den == other._den
+                and self._ints == other._ints)
 
     def __repr__(self) -> str:
         return f"GroupRingElement(degree={self._degree}, support={len(self)})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for perm, coeff in self.items():
-            parts.append(f"{coeff}*{list(perm.images)}")
-        return " + ".join(parts)
+        return " + ".join(f"{coeff}*{list(perm.images)}"
+                          for perm, coeff in self.items()) or "0"
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,8 +381,8 @@ def solve_right_factor(
 ) -> GroupRingElement | None:
     """Solve ``a * x == c`` exactly; ``None`` when no solution exists.
 
-    The r! x r! matrix of left multiplication by ``a`` is built on integer
-    numerators from ``a``'s support alone, augmented by ``c``'s numerators,
+    The r! x r! matrix of left multiplication by ``a`` is built on ``a``'s
+    stored integer numerators alone, augmented by those of ``c``,
     and row-reduced with the package's one Gauss-Jordan kernel
     (``_exact.row_reduce``: integer rows, pivot on the first nonzero entry
     per column).  Free columns are set to 0, so the answer is the reduced
@@ -409,25 +398,21 @@ def solve_right_factor(
     group = enumerate_group(r, cap)
     n = len(group)
     index = {p.images: k for k, p in enumerate(group)}
-    a_terms, a_den = _numerators(a._terms)
-    c_terms, c_den = _numerators(c._terms)
     # (a*x)(s) = sum_p a(p) x(p^-1 * s): row per s, column per q = p^-1 * s.
     rows = [[0] * (n + 1) for _ in range(n)]
-    for p_images, numerator in a_terms:
+    for p_images, numerator in a._ints.items():
         p_inv = (0,) + Permutation._unchecked(p_images).inverse().images
         for s, row in zip(group, rows):
             row[index[tuple([p_inv[i] for i in s.images])]] = numerator
-    for s_images, numerator in c_terms:
+    for s_images, numerator in c._ints.items():
         rows[index[s_images]][n] = numerator
 
     pivot_cols = row_reduce(rows, n)
     if any(row[n] for row in rows[len(pivot_cols):]):
         return None
-    # the integer system is (a_den*L) y = c_den*c, so x = y * a_den / c_den
-    out = GroupRingElement(r)
-    out._terms = {
-        group[col]: Fraction(rows[i][n] * a_den, rows[i][col] * c_den)
-        for i, col in enumerate(pivot_cols)
-        if rows[i][n]
-    }
-    return out
+    # the integer system is (a._den*L) y = c._den*c, so x = y * a._den / c._den;
+    # y at a pivot column is the quotient of the row's last entry and its pivot
+    common = lcm(*(rows[i][col] for i, col in enumerate(pivot_cols)))
+    return GroupRingElement._unchecked(r, {
+        group[col].images: rows[i][n] * a._den * (common // rows[i][col])
+        for i, col in enumerate(pivot_cols)}, common * c._den)

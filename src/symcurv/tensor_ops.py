@@ -12,12 +12,13 @@ numbers inside permutations refer to argument *slots*, not index values.
 Entries are stored flat in row-major order as integer numerators ``_ints``
 over one positive denominator ``_den``, in lowest terms, so equal tensors
 have equal storage.  Constructors convert once with ``_exact.numerators``,
-kernels work on the integers and ``_unchecked`` reduces each result by its
-gcd; a ``Fraction`` is built only when an entry is read (``[]``,
-``nonzero_items``, ``rows``, ``to_nested``, ``trace``, ``m(v)``).
-``_gather`` alone maps a slot permutation to flat positions, for
+kernels work on the integers and ``_unchecked`` brings each result to lowest
+terms with ``_exact.reduced``; a ``Fraction`` is built only when an entry is
+read (``[]``, ``nonzero_items``, ``rows``, ``to_nested``, ``trace``,
+``m(v)``).  ``_gather`` alone maps a slot permutation to flat positions, for
 ``transpose`` and ``apply_symmetry_operator``, the one action: ``gamma``,
-``alpha`` and every symmetry test in the package go through it.
+``alpha`` and every symmetry test in the package go through it, and it reads
+the group-ring element's stored numerators with no sort and no conversion.
 ``curvature._quadratic_sum`` builds ``sum c vec(M) vec(M)^T`` in this
 layout, and ``_contract_middle`` is the Jacobi contraction ``T(a, x, x, d)``.
 
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _product
-from math import gcd, lcm
+from math import lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from ._exact import exact, json_int, numerators, strict_int
-from .symgroup import GroupRingElement, Permutation, enumerate_group
+from ._exact import exact, json_int, numerators, reduced, strict_int
+from .symgroup import GroupRingElement, enumerate_group
 
 Scalar = Union[int, str, Fraction]
 
@@ -102,9 +103,7 @@ class DenseTensor:
                    den: int) -> "DenseTensor":
         """Wrap ``dim ** order`` integer numerators over ``den > 0`` without
         validation, brought to lowest terms."""
-        common = gcd(den, *ints)
-        if common > 1:
-            ints, den = [v // common for v in ints], den // common
+        ints, den = reduced(ints, den)
         out = cls.__new__(cls)
         out._order, out._dim, out._ints, out._den = order, dim, tuple(ints), den
         return out
@@ -330,13 +329,10 @@ def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTe
         raise ValueError(
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
-    # integer coefficients over their own common denominator
-    items = a.items()
-    coefficients, den = numerators([c for _, c in items])
     ints, acc = tensor._ints, [0] * len(tensor._ints)
-    for (perm, _), c in zip(items, coefficients):
-        acc = [s + c * ints[j] for s, j in zip(acc, _gather(perm.images, tensor.dim))]
-    return DenseTensor._unchecked(tensor.order, tensor.dim, acc, den * tensor._den)
+    for images, c in a._ints.items():
+        acc = [s + c * ints[j] for s, j in zip(acc, _gather(images, tensor.dim))]
+    return DenseTensor._unchecked(tensor.order, tensor.dim, acc, a._den * tensor._den)
 
 
 def _contract_middle(tensor: DenseTensor, x: Sequence[Fraction]) -> DenseTensor:
@@ -371,26 +367,15 @@ def to_group_ring(tensor: DenseTensor,
     r = tensor.order
     if len(vectors) != r:
         raise ValueError(f"need {r} vectors, got {len(vectors)}")
-    vecs = [tuple(exact(c) for c in v) for v in vectors]
-    if any(len(v) != tensor.dim for v in vecs):
+    converted = [numerators([exact(c) for c in v]) for v in vectors]
+    if any(len(v) != tensor.dim for v, _ in converted):
         raise ValueError(f"every vector must have dimension {tensor.dim}")
-    items = list(tensor.nonzero_items())
-    terms: dict[Permutation, Fraction] = {}
-    for perm in enumerate_group(r):
-        chosen = [vecs[perm(k + 1) - 1] for k in range(r)]
-        total = Fraction(0)
-        for idx, value in items:
-            term = value
-            for k in range(r):
-                component = chosen[k][idx[k]]
-                if not component:
-                    term = Fraction(0)
-                    break
-                term *= component
-            total += term
-        if total:
-            terms[perm] = total
-    return GroupRingElement(r, terms)
+    vecs = [v for v, _ in converted]
+    entries = [(idx, n) for idx, n in zip(tensor.indices(), tensor._ints) if n]
+    return GroupRingElement._unchecked(r, {
+        perm.images: sum(n * prod(vecs[perm.images[k] - 1][i] for k, i in enumerate(idx))
+                         for idx, n in entries)
+        for perm in enumerate_group(r)}, prod((d for _, d in converted), start=tensor._den))
 
 
 def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:

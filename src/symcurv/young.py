@@ -269,7 +269,7 @@ def young_symmetrizer(tableau: YoungTableau, cap: int = DEGREE_CAP) -> GroupRing
     horizontal = [(p.images, 1) for p in _block_permutations(r, tableau.rows)]
     vertical = [(q.images, q.sign())
                 for q in _block_permutations(r, tableau.columns())]
-    return GroupRingElement._from_numerators(r, _convolve(horizontal, vertical))
+    return GroupRingElement._unchecked(r, _convolve(horizontal, vertical), 1)
 
 
 def curvature_tableau() -> YoungTableau:

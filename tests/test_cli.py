@@ -64,6 +64,15 @@ def test_check_curvature_parse_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["check-curvature", str(path)]) == 2
     assert "line 1" in capsys.readouterr().err
+    # bytes that are not UTF-8, nesting deeper than the decoder recurses, and
+    # a number past the interpreter's limit on integer digits
+    for name, data in (("latin.json", b"\xff\xfe{}"), ("deep.json", b"[" * 200_000),
+                       ("long.json", b'{"order": 1' + b"0" * 5000 + b', "dim": 2}')):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["check-curvature", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_check_curvature_missing_file(tmp_path):

@@ -4,7 +4,8 @@ leave byte-identical.
 Each case renders one deterministic output as text: a decomposition's JSON,
 a spectrum report, metric signatures and inverses, the JSON of group-ring
 elements (symmetrizers, idempotents, the canonical elements and right-factor
-solves), or the stdout of a CLI command.  The test compares the digest of that text with the pinned one.
+solves), or the stdout of a CLI command.  The test compares the digest of
+that text with the pinned one.
 A change that is meant to alter an output updates its digest and says why;
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints the
 current digest of every case.

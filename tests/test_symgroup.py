@@ -113,6 +113,39 @@ def test_zero_coefficients_never_stored():
     assert len(a) == 0
 
 
+_T12 = Permutation.from_cycles(3, (1, 2))
+_INTEGER = GroupRingElement(3, {Permutation([1, 2, 3]): 2, Permutation([2, 3, 1]): -3,
+                                _T12: 6})
+_RATIONAL = GroupRingElement(3, {Permutation([1, 2, 3]): "1/2",
+                                 Permutation([3, 1, 2]): "2/3", _T12: "-5/6"})
+_ID_MINUS_T, _ID_PLUS_T = (GroupRingElement(3, {Permutation([1, 2, 3]): 1, _T12: sign})
+                           for sign in (-1, 1))
+
+
+@pytest.mark.parametrize("result, expected", [
+    (_INTEGER.scale("1/3").scale(3), _INTEGER),
+    (_INTEGER + _INTEGER - _INTEGER, _INTEGER),
+    (_RATIONAL - _RATIONAL + _INTEGER, _INTEGER),
+    (0 * _INTEGER, GroupRingElement.zero(3)),
+    (_ID_MINUS_T * _ID_PLUS_T, GroupRingElement.zero(3)),
+], ids=["scale-back", "add-sub", "cancel-rational", "zero-scalar", "cancelling-product"])
+def test_cancelled_denominators_give_the_integer_element(result, expected):
+    # storage is in lowest terms, so equal values mean equal storage
+    assert result == expected
+    assert len(result) == len(expected)
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert str(result) == str(expected)
+
+
+def test_sum_and_difference_are_coefficientwise():
+    rng = random.Random(21)
+    for _ in range(5):
+        a, b = rand_ring_element(rng, 3, terms=4), rand_ring_element(rng, 3, terms=4)
+        for p in enumerate_group(3):
+            assert (a + b).coefficient(p) == a.coefficient(p) + b.coefficient(p)
+            assert (a - b).coefficient(p) == a.coefficient(p) - b.coefficient(p)
+
+
 def test_ring_product_degree_mismatch():
     with pytest.raises(ValueError):
         ring_product(GroupRingElement.one(3), GroupRingElement.one(4))

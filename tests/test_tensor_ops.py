@@ -249,6 +249,24 @@ def test_to_group_ring_zero():
     assert to_group_ring(DenseTensor.zeros(4, 2), b).is_zero
 
 
+def test_to_group_ring_matches_entrywise_evaluation():
+    # coefficient of p is T(v_p(1), ..., v_p(r)), summed over every index here
+    rng = random.Random(20)
+    for order, dim in ((1, 3), (2, 3), (3, 2), (4, 2)):
+        t = rand_tensor(rng, order, dim)
+        b = [rand_vector(rng, dim) for _ in range(order)]
+        b[0] = (Fraction(0),) + b[0][1:]
+        element = to_group_ring(t, b)
+        for images in permutations(range(1, order + 1)):
+            expected = Fraction(0)
+            for idx in product(range(dim), repeat=order):
+                term = t[idx]
+                for k, i in enumerate(idx):
+                    term *= b[images[k] - 1][i]
+                expected += term
+            assert element.coefficient(Permutation(images)) == expected
+
+
 def test_symmetric_embeds_in_symmetric_ideal():
     rng = random.Random(16)
     for _ in range(5):
