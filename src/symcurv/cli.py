@@ -212,17 +212,43 @@ def cmd_schur_plethysm(args) -> int:
     return 0
 
 
-def _print_spectrum(report) -> None:
-    print(f"{len(report.samples)} samples on g(x,x) == {report.sign:+d}")
-    for x, roots, remainder in zip(report.samples, report.roots, report.remainders):
-        shown = ", ".join(f"{root} (x{mult})" for root, mult in roots) or "-"
-        extra = "" if len(remainder) == 1 else \
-            f"; unfactored degree {len(remainder) - 1}"
-        print(f"  x = ({', '.join(str(v) for v in x)}): roots {shown}{extra}")
-    if not report.all_rational:
-        print("note: non-rational spectrum; constancy checked at "
-              "characteristic-polynomial level")
-    print(f"constant across samples: {'yes' if report.constant else 'NO'}")
+def _spectrum_report(args, tensor, metric, sign, title=None) -> int:
+    """Sample the Jacobi spectra, print them as text or ``--json``, and
+    return exit code 1 unless they are constant."""
+    report = osserman_spectrum_sample(tensor, metric, args.count, sign, args.seed)
+    if args.json:
+        _emit_json(report.to_json_dict())
+    else:
+        if title:
+            print(title)
+        print(f"{len(report.samples)} samples on g(x,x) == {report.sign:+d}")
+        for x, roots, remainder in zip(report.samples, report.roots, report.remainders):
+            shown = ", ".join(f"{root} (x{mult})" for root, mult in roots) or "-"
+            extra = "" if len(remainder) == 1 else \
+                f"; unfactored degree {len(remainder) - 1}"
+            print(f"  x = ({', '.join(str(v) for v in x)}): roots {shown}{extra}")
+        if not report.all_rational:
+            print("note: non-rational spectrum; constancy checked at "
+                  "characteristic-polynomial level")
+        print(f"constant across samples: {'yes' if report.constant else 'NO'}")
+    return 0 if report.constant else 1
+
+
+def _nilpotency_report(args, kind, p, q, fields, title=None) -> int:
+    """Check ``J(x)^2 == 0`` for the built-in ``kind`` ("sym" or "skew")
+    example on signature (p, q), print the verdict as text or ``--json``
+    (``fields`` name the example), and return exit code 1 if it fails."""
+    metric = Metric.standard(p, q)
+    tensor = (gamma(nilpotent_sym_example(p, q)) if kind == "sym"
+              else alpha(nilpotent_skew_example(p, q)))
+    ok = nilpotency_check(tensor, metric, args.samples, args.seed)
+    if args.json:
+        _emit_json({**fields, "p": p, "q": q, "samples": args.samples, "nilpotent": ok})
+    else:
+        if title:
+            print(title)
+        print(f"J(x)^2 == 0 at all {args.samples} samples: " + ("PASS" if ok else "FAIL"))
+    return 0 if ok else 1
 
 
 def cmd_osserman_spectrum(args) -> int:
@@ -232,32 +258,12 @@ def cmd_osserman_spectrum(args) -> int:
         raise _InputError(
             f"tensor dimension {tensor.dim} does not match metric dimension "
             f"{metric.dim}")
-    sign = 1 if args.sign == "+" else -1
-    report = osserman_spectrum_sample(tensor, metric, args.count, sign, args.seed)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        _print_spectrum(report)
-    return 0 if report.constant else 1
+    return _spectrum_report(args, tensor, metric, 1 if args.sign == "+" else -1)
 
 
 def cmd_osserman_nilpotent(args) -> int:
     _require_signature(args.p, args.q)
-    metric = Metric.standard(args.p, args.q)
-    if args.kind == "sym":
-        tensor = gamma(nilpotent_sym_example(args.p, args.q))
-    else:
-        tensor = alpha(nilpotent_skew_example(args.p, args.q))
-    ok = nilpotency_check(tensor, metric, args.samples, args.seed)
-    if args.json:
-        _emit_json({
-            "kind": args.kind, "p": args.p, "q": args.q,
-            "samples": args.samples, "nilpotent": ok,
-        })
-    else:
-        print(f"J(x)^2 == 0 at all {args.samples} samples: "
-              + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
+    return _nilpotency_report(args, args.kind, args.p, args.q, {"kind": args.kind})
 
 
 def cmd_osserman_lorentz(args) -> int:
@@ -279,34 +285,13 @@ def cmd_osserman_lorentz(args) -> int:
 def cmd_osserman_demo(args) -> int:
     if args.family == "clifford":
         metric = Metric.standard(4, 0)
-        c1 = quaternion_triple()[0]
-        tensor = clifford_family(args.l0, [args.l1], [c1], metric)
-        report = osserman_spectrum_sample(tensor, metric, args.count, 1, args.seed)
-        if args.json:
-            _emit_json(report.to_json_dict())
-        else:
-            print(f"curvature family with coefficients l0={args.l0}, l1={args.l1} "
-                  "on Euclidean R^4")
-            _print_spectrum(report)
-        return 0 if report.constant else 1
-
-    p, q = (1, 1) if args.family == "nilpotent-gamma" else (2, 2)
-    metric = Metric.standard(p, q)
-    if args.family == "nilpotent-gamma":
-        tensor = gamma(nilpotent_sym_example(p, q))
-    else:
-        tensor = alpha(nilpotent_skew_example(p, q))
-    ok = nilpotency_check(tensor, metric, args.samples, args.seed)
-    if args.json:
-        _emit_json({
-            "family": args.family, "p": p, "q": q,
-            "samples": args.samples, "nilpotent": ok,
-        })
-    else:
-        print(f"{args.family} example on signature ({p},{q})")
-        print(f"J(x)^2 == 0 at all {args.samples} samples: "
-              + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
+        tensor = clifford_family(args.l0, [args.l1], [quaternion_triple()[0]], metric)
+        return _spectrum_report(args, tensor, metric, 1,
+                                f"curvature family with coefficients l0={args.l0}, "
+                                f"l1={args.l1} on Euclidean R^4")
+    kind, p, q = ("sym", 1, 1) if args.family == "nilpotent-gamma" else ("skew", 2, 2)
+    return _nilpotency_report(args, kind, p, q, {"family": args.family},
+                              f"{args.family} example on signature ({p},{q})")
 
 
 def build_parser() -> argparse.ArgumentParser:

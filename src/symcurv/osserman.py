@@ -17,8 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
-from operator import mul
+from itertools import count, dropwhile, zip_longest
+from math import gcd, lcm
+from operator import mul, not_
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._exact import exact, json_int, numerators, row_reduce
@@ -279,72 +280,88 @@ def char_poly(mapping: LinearMap) -> tuple[Fraction, ...]:
     return tuple(coefficients)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d <= isqrt(n):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def rational_roots(
     coefficients: Sequence[Scalar],
 ) -> tuple[tuple[tuple[Fraction, int], ...], tuple[Fraction, ...]]:
-    """Extract rational roots (with multiplicity) of a monic polynomial.
+    """Extract the rational roots (with multiplicity) of a polynomial.
 
-    Returns sorted ``(root, multiplicity)`` pairs and the monic unfactored
-    remainder; a remainder of ``(1,)`` means the polynomial split
-    completely over the rationals.
+    The coefficients come highest power first and are divided by the
+    leading one, which must be nonzero.  Returns sorted ``(root,
+    multiplicity)`` pairs and the monic unfactored remainder; a remainder
+    of ``(1,)`` means the polynomial split completely over the rationals.
+
+    The roots are found on integers by p-adic lifting (Loos, SIAM J.
+    Comput. 12, 1983).  With ``x = t/L``, L the lcm of the denominators of
+    the monic polynomial, they are the integer roots of a monic integer f,
+    hence of its square-free part ``g = f / gcd(f, f')``, and none exceeds
+    ``B = 1 + max |g_i|`` (Cauchy).  Let p be the smallest prime at which
+    no root of g mod p is a root of g' mod p.  Newton's step lifts each
+    root of g mod p to one residue modulo p², p⁴, ... past 2B; its
+    symmetric residue is a root when f vanishes there, and f is then
+    divided by it as often as it divides.
     """
     coeffs = [exact(c) for c in coefficients]
     if not coeffs or not coeffs[0]:
         raise ValueError("leading coefficient must be nonzero")
-    if coeffs[0] != 1:
-        coeffs = [c / coeffs[0] for c in coeffs]
-    roots: dict[Fraction, int] = {}
-    while len(coeffs) > 1:
-        if not coeffs[-1]:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            coeffs.pop()
-            continue
-        # substitute x = L*t where L clears the denominators: integer monic
-        # polynomial whose rational roots are integers dividing its constant
-        scale = lcm(*(c.denominator for c in coeffs))
-        constant = coeffs[-1] * scale ** (len(coeffs) - 1)
-        found = None
-        for divisor in _divisors(int(constant)):
-            for signed in (divisor, -divisor):
-                candidate = Fraction(signed, scale)
-                if _poly_eval(coeffs, candidate) == 0:
-                    found = candidate
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        coeffs = _deflate(coeffs, found)
-        roots[found] = roots.get(found, 0) + 1
-    pairs = tuple(sorted(roots.items()))
-    return pairs, tuple(coeffs)
+    ints, scale = numerators([c / coeffs[0] for c in coeffs])
+    # f(t) = L^d p(t/L): f_i = p_i L^i = ints[i] L^(i-1), and ints[0] == L
+    f = [c * scale ** i // scale for i, c in enumerate(ints)]
+    # Euclid on primitive pseudo-remainders; the gcd is primitive and
+    # divides the monic f, so it leads with +-1 and the quotient is exact
+    a, b = f, _derivative(f)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    g = _pseudo_divmod(f, _primitive(a))[0]
+    dg = _derivative(g)
+    for p in (n for n in count(2) if all(n % d for d in range(2, n))):
+        residues = [r for r in range(p) if not _horner(g, r) % p]
+        if all(_horner(dg, r) % p for r in residues):
+            break  # reached: any prime that does not divide disc(g) != 0 will do
+    bound = 2 * (1 + max(map(abs, g[1:]), default=0))
+    pairs = []
+    for r in residues:
+        modulus = p
+        while modulus <= bound:
+            modulus *= modulus
+            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, modulus)) % modulus
+        r = r - modulus if 2 * r > modulus else r
+        multiplicity = 0
+        while _horner(f, r) == 0:
+            f = _pseudo_divmod(f, [1, -r])[0]
+            multiplicity += 1
+        if multiplicity:
+            pairs.append((Fraction(r, scale), multiplicity))
+    return (tuple(sorted(pairs)),
+            tuple(Fraction(c, scale ** i) for i, c in enumerate(f)))
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + root * out[-1])
-    return out
+def _derivative(coeffs: Sequence[int]) -> list[int]:
+    return [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """Without leading zeros and divided by its content; ``[]`` for zero."""
+    coeffs = list(dropwhile(not_, coeffs))
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs]
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``(q, r)`` with ``b[0]**k * a == q*b + r`` on integers, where ``k``
+    is the number of steps taken; ``r`` may keep leading zeros."""
+    q, r = [], list(a)
+    while len(r) >= len(b):
+        lead = r[0]
+        q = [b[0] * c for c in q] + [lead]
+        r = [b[0] * c - lead * d for c, d in zip_longest(r[1:], b[1:], fillvalue=0)]
+    return q, r
 
 
 def clifford_check(maps: Iterable[LinearMap], g: Metric,

@@ -91,10 +91,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self._images)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self._images))
-
     def __call__(self, i: int) -> int:
         if not 1 <= i <= len(self._images):
             raise ValueError(f"argument {i} outside 1..{len(self._images)}")

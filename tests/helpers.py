@@ -1,13 +1,27 @@
-"""Deterministic random generators shared by the test modules."""
+"""Deterministic random generators shared by the test modules, and a runner
+that gives up on a call after a timeout."""
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
 from symcurv import DenseTensor, GroupRingElement, Permutation, alpha, gamma
+
+
+def isolated(func, calls, timeout: float = 60) -> list:
+    """``[func(*args) for args in calls]``, computed in one fresh interpreter.
+
+    A call that does not return fails the calling test with
+    ``multiprocessing.TimeoutError`` after ``timeout`` seconds instead of
+    stalling the suite.  ``func`` must be importable by name, and the
+    arguments and results must pickle.
+    """
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.starmap_async(func, calls).get(timeout)
 
 
 def rand_fraction(rng: random.Random, lo: int = -5, hi: int = 5,

@@ -1,14 +1,19 @@
 """End-to-end command-line checks, driven through ``main`` directly."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symcurv
 from symcurv import Metric, alpha, gamma, tensor_product
 from symcurv.cli import main
 
-from helpers import rand_skew, rand_symmetric, rand_tensor
+from helpers import rand_curvature, rand_skew, rand_symmetric, rand_tensor
 
 
 @pytest.fixture
@@ -303,6 +308,27 @@ def test_osserman_spectrum_seed_reproducible(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second  # byte-identical for a fixed seed
+
+
+def test_osserman_spectrum_of_a_generic_tensor_says_no(tmp_path):
+    # a tensor that is not Osserman: past the root 0, the scaled
+    # characteristic polynomials end in constants of 35 to 126 bits.  Run
+    # in a fresh process, so a root search that does not end fails here
+    # instead of stalling the suite.
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text(json.dumps(rand_curvature(random.Random(2), 4, 2).to_json_dict()))
+    metric_path.write_text(json.dumps({"p": 4, "q": 0}))
+    source = str(Path(symcurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "symcurv.cli", "osserman", "spectrum",
+         "--tensor", str(tensor_path), "--metric", str(metric_path), "--count", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "constant across samples: NO" in done.stdout
+    assert "unfactored degree 3" in done.stdout
 
 
 def test_osserman_nilpotent_ok(capsys):

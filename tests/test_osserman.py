@@ -33,8 +33,8 @@ from symcurv import (
     sample_vectors,
 )
 
-from helpers import (rand_curvature, rand_fraction, rand_skew, rand_symmetric,
-                     rand_vector)
+from helpers import (isolated, rand_curvature, rand_fraction, rand_skew,
+                     rand_symmetric, rand_vector)
 
 
 def _mat(rows):
@@ -433,6 +433,93 @@ def test_rational_roots_fractional_and_irrational():
     assert remainder == (1, 0, -2)
 
 
+def _times(poly, factor, power=1):
+    for _ in range(power):
+        poly = [sum((poly[i] * factor[k - i] for i in range(len(poly))
+                     if 0 <= k - i < len(factor)), Fraction(0))
+                for k in range(len(poly) + len(factor) - 1)]
+    return poly
+
+
+def _expand(roots, remainder):
+    """The monic polynomial with these rational roots times the remainder."""
+    poly = list(remainder)
+    for root, multiplicity in roots:
+        poly = _times(poly, [1, -root], multiplicity)
+    return tuple(poly)
+
+
+def _no_rational_roots():
+    """``(poly, rational roots)``: (x^2-2)(x^2-3)(x^2-6) has a root mod
+    every prime (one of 2, 3, 6 is a square mod p) and none over the
+    rationals; here alone and with further factors."""
+    base = _times(_times([1, 0, -2], [1, 0, -3]), [1, 0, -6])
+    return [(base, ()), (_times(base, [1, Fraction(-1, 2)], 2), ((Fraction(1, 2), 2),)),
+            (_times(base, [1, 0], 3), ((Fraction(0), 3),)),
+            (_times(base, [3, 7]), ((Fraction(-7, 3), 1),)), (_times(base, [1, 0, -2]), ())]
+
+
+def _seeded_products(rng, count):
+    """Products of rational linear factors, some repeated, with random
+    quadratics and cubics (mostly irreducible) and a random leading
+    coefficient."""
+    out = []
+    for _ in range(count):
+        poly = [rand_fraction(rng, 1, 9, 4) * rng.choice((1, -1))]
+        for _ in range(rng.randint(0, 4)):
+            poly = _times(poly, [1, -rand_fraction(rng, -6, 6, 3)], rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            poly = _times(poly, [1] + [rand_fraction(rng, -5, 5, 2)
+                                       for _ in range(rng.randint(2, 3))])
+        out.append(tuple(poly))
+    return out
+
+
+_EDGE_CASES = [
+    ((1,) + (0,) * 8, ((Fraction(0), 8),), (1,)),                      # x^8
+    (tuple(_times([1], [1, Fraction(-1, 3)], 8)), ((Fraction(1, 3), 8),), (1,)),
+    ((1, -2 ** 100), ((Fraction(2 ** 100), 1),), (1,)),
+    ((6, -1, -1), ((Fraction(-1, 3), 1), (Fraction(1, 2), 1)), (1,)),  # (3x+1)(2x-1)
+    ((Fraction(-7, 2),), (), (1,)),                                     # a constant
+    ((2, 0, -4), (), (1, 0, -2)),                                       # 2x^2 - 4
+]
+
+
+def test_rational_roots_edge_cases():
+    cases = _EDGE_CASES + [(tuple(poly), roots, None) for poly, roots in _no_rational_roots()]
+    results = isolated(rational_roots, [(coefficients,) for coefficients, _, _ in cases])
+    for (coefficients, roots, remainder), result in zip(cases, results):
+        assert result[0] == roots
+        assert remainder is None or result[1] == remainder
+        assert _expand(*result) == tuple(Fraction(c) / coefficients[0] for c in coefficients)
+
+
+def _sympy_rational_roots(sympy, coefficients):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in map(Fraction, coefficients)], x, domain="QQ").monic()
+    # ground_roots factors over QQ; roots(..., filter="Q") stalls on
+    # products with irreducible cubic factors
+    roots = poly.ground_roots()
+    for root, multiplicity in roots.items():
+        poly = poly.exquo(sympy.Poly(x - root, x, domain="QQ") ** multiplicity)
+    return (tuple(sorted((Fraction(int(r.p), int(r.q)), m) for r, m in roots.items())),
+            tuple(Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()))
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    polys = _seeded_products(random.Random(330), 200)
+    polys += [poly for poly, _ in _no_rational_roots()]
+    polys += [coefficients for coefficients, _, _ in _EDGE_CASES]
+    results = isolated(rational_roots, [(tuple(p),) for p in polys])
+    for poly, result in zip(polys, results):
+        assert result == _sympy_rational_roots(sympy, poly)
+    # the products cover repeated roots and unfactored remainders
+    assert any(m > 1 for roots, _ in results for _, m in roots)
+    assert sum(len(remainder) > 3 for _, remainder in results) > 20
+
+
 def test_char_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(310)
@@ -558,11 +645,10 @@ def _cayley(rng, diag):
             return _matmul(_inverse(minus), plus)
 
 
-def _push_forward(t, p):
-    """``(P.T)(u, v, w, z) = T(P^{-1} u, P^{-1} v, P^{-1} w, P^{-1} z)``,
-    entrywise and one slot at a time."""
+def _pull_back(t, q):
+    """``(Q*T)(u, v, w, z) = T(Q u, Q v, Q w, Q z)``, entrywise and one slot
+    at a time."""
     n = t.dim
-    q = _inverse(p)
     entries = {idx: t[idx] for idx in t.indices()}
     for slot in range(4):
         entries = {idx: sum(q[a][idx[slot]] * entries[idx[:slot] + (a,) + idx[slot + 1:]]
@@ -571,30 +657,40 @@ def _push_forward(t, p):
     return DenseTensor.from_entries(4, n, entries)
 
 
+def _apply(q, x):
+    return tuple(sum(q[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))
+
+
 @pytest.mark.parametrize("p,q", [(4, 0), (2, 2)])
 def test_jacobi_spectra_invariant_under_isometries(p, q):
-    # J_{P.T}(P x) = P J_T(x) P^{-1}, so the characteristic polynomials agree
+    # J_{Q*T}(x) = Q^{-1} J_T(Q x) Q, so the characteristic polynomials of a
+    # generic tensor agree at every sphere sample, and so do their roots
     rng = random.Random(320 + q)
     g = Metric.standard(p, q)
     diag = [1] * p + [-1] * q
     isometries = [_signed_permutation(rng, p, q) for _ in range(2)]
     isometries += [_cayley(rng, diag) for _ in range(2)]
+    polys = []
     for iso in isometries:
         assert _congruent(iso, diag) == [list(row) for row in g.rows]
         t = rand_curvature(rng, 4, 1)
-        moved = _push_forward(t, iso)
-        for _ in range(2):
-            x = rand_vector(rng, 4)
-            px = tuple(sum(iso[i][j] * x[j] for j in range(4)) for i in range(4))
-            assert (char_poly(jacobi_operator(moved, g, px))
-                    == char_poly(jacobi_operator(t, g, x)))
+        pulled = _pull_back(t, iso)
+        for sign in (1, -1) if q else (1,):
+            for x in sample_unit_vectors(g, sign, 2, seed=rng.randrange(10 ** 6)):
+                pair = [char_poly(jacobi_operator(pulled, g, x)),
+                        char_poly(jacobi_operator(t, g, _apply(iso, x)))]
+                assert pair[0] == pair[1]
+                polys += pair
+    roots = isolated(rational_roots, [(poly,) for poly in polys])
+    assert roots[0::2] == roots[1::2]
+    assert all(_expand(*result) == poly for result, poly in zip(roots, polys))
+    assert any(len(remainder) > 1 for _, remainder in roots)  # generic spectra
     # control: a basis change that is not an isometry moves the spectrum
     stretch = [[2 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
     t = rand_curvature(rng, 4, 1)
-    x = rand_vector(rng, 4)
-    px = (2 * x[0],) + x[1:]
-    assert (char_poly(jacobi_operator(_push_forward(t, stretch), g, px))
-            != char_poly(jacobi_operator(t, g, x)))
+    x = sample_unit_vectors(g, 1, 2, seed=1)[1]
+    assert (char_poly(jacobi_operator(_pull_back(t, stretch), g, x))
+            != char_poly(jacobi_operator(t, g, _apply(stretch, x))))
 
 
 # ------------------------------------------------------------ clifford family
@@ -672,6 +768,23 @@ def test_clifford_family_matches_term_by_term_sum():
             for lam, c in zip(lams, maps[:k]):
                 expected = expected + alpha(g.lower_map(c)).scale(3 * lam)
             assert clifford_family(lam0, lams, maps[:k], g) == expected
+
+
+def test_clifford_family_r8_spectrum_with_thirds():
+    # lam0 = -1/3 scales the characteristic polynomial's constant to ~70 bits
+    g = Metric.standard(8, 0)
+    lam0, lams = Fraction(-1, 3), [Fraction(4, 3), Fraction(-2, 3), Fraction(5, 3)]
+    calls, expected = [], []
+    for k in (1, 2, 3):
+        calls.append((clifford_family(lam0, lams[:k], _block_quaternions()[:k], g),
+                      g, 3, 1, k))
+        # 0 once, lam0 - 3 lam_i once each, lam0 on the other 7 - k directions
+        spectrum = {Fraction(0): 1, lam0: 7 - k}
+        spectrum.update((lam0 - 3 * lam, 1) for lam in lams[:k])
+        expected.append(tuple(sorted(spectrum.items())))
+    for report, roots in zip(isolated(osserman_spectrum_sample, calls), expected):
+        assert report.constant and report.all_rational
+        assert report.roots == (roots,) * 3
 
 
 # --------------------------------------------------------------- jordan family
