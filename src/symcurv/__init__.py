@@ -1,7 +1,9 @@
 """Exact rational machinery for algebraic curvature tensors.
 
-Everything here computes with `fractions.Fraction`; identities are checked
-with ``==``, never with tolerances.
+Every value is an exact rational: tensors and group-ring elements store
+integer numerators over one common denominator, their kernels compute on
+those integers, and ``fractions.Fraction`` appears only at the API.
+Identities are checked with ``==``, never with tolerances.
 """
 
 from .symgroup import (

@@ -1,7 +1,7 @@
 """Exact-rational primitives shared by the package.
 
 ``exact`` coerces values into rationals (floats and bools are rejected on
-purpose).
+purpose, and so is a decimal string whose exponent exceeds ``EXPONENT_CAP``).
 ``strict_int`` accepts an integer and refuses bools, floats and strings
 instead of truncating or parsing them; ``json_int`` applies it to one field
 of a JSON payload.
@@ -25,20 +25,35 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection
 
+#: Largest decimal exponent ``exact`` parses, in absolute value: the
+#: interpreter's default limit on the digits of an integer string, so
+#: ``"1e4300"`` parses and ``"1e300000000"`` is refused before a
+#: 300-million-digit power of ten is built.
+EXPONENT_CAP = 4300
+
 
 def exact(value) -> Fraction:
-    """Coerce ``value`` (int, Fraction, or a ``"p/q"`` string) to a Fraction.
+    """Coerce ``value`` (int, Fraction, or a string such as ``"p/q"`` or
+    ``"-2.5e-3"``) to a Fraction.
 
     Floats are refused: every identity in this package is checked with
     ``==`` on rationals, and a binary float smuggled into a coefficient
     would silently break that.  Bools are refused too, as
     :func:`strict_int` refuses them: a JSON ``true`` is not the number 1.
+    A string whose exponent exceeds :data:`EXPONENT_CAP` in absolute value
+    raises ``ValueError``.
     """
     if isinstance(value, (float, bool)):
         raise TypeError(
             f"{type(value).__name__} {value!r} rejected: use int, Fraction, "
             "or a 'p/q' string"
         )
+    if isinstance(value, str):
+        _, marker, exponent = value.rstrip().lower().rpartition("e")
+        if (marker and exponent.lstrip("+-").replace("_", "").isdecimal()
+                and abs(int(exponent)) > EXPONENT_CAP):
+            raise ValueError(f"exponent of {value[:40]!r} exceeds the cap "
+                             f"of {EXPONENT_CAP}")
     return Fraction(value)
 
 

@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+from ._exact import exact
 from .curvature import (
     IdentityTableReport,
     NotACurvatureTensor,
@@ -92,17 +93,31 @@ def _require_signature(p: int, q: int) -> None:
         raise _InputError(f"metric: {err}")
 
 
+#: Largest sample or trial count the CLI accepts.
+COUNT_CAP = 10_000
+
+
 def _positive_int(text: str) -> int:
-    """argparse type for sample and trial counts."""
+    """argparse type for a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
+def _count(text: str) -> int:
+    """argparse type for sample and trial counts: a positive integer of at
+    most ``COUNT_CAP``."""
+    value = _positive_int(text)
+    if value > COUNT_CAP:
+        raise argparse.ArgumentTypeError(
+            f"expected a count of at most the cap {COUNT_CAP}, got {text!r}")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     """argparse type for exact coefficients such as 2, -4/3 or 0.5."""
     try:
-        return Fraction(text)
+        return exact(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}")
 
@@ -318,12 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check_curvature)
 
     decompose = commands.add_parser(
-        "decompose", help="decompose a curvature tensor file: --mode gamma "
-                          "returns gammas only, alpha and mixed (the default) "
-                          "alphas only")
+        "decompose", help="decompose a curvature tensor file into gammas "
+                          "only or alphas only")
     decompose.add_argument("path")
     decompose.add_argument("--mode", choices=("mixed", "gamma", "alpha"),
-                           default="mixed")
+                           default="mixed",
+                           help="gamma: gammas only; alpha: alphas only; "
+                                "mixed (the default): the alpha terms, "
+                                "labelled 'mixed'")
     decompose.add_argument("--out", help="write the decomposition JSON here "
                                          "instead of stdout")
     decompose.set_defaults(func=cmd_decompose)
@@ -354,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--tensor", required=True)
     spectrum.add_argument("--metric", required=True)
     spectrum.add_argument("--sign", choices=("+", "-"), default="+")
-    spectrum.add_argument("--count", type=_positive_int, default=10)
+    spectrum.add_argument("--count", type=_count, default=10)
     spectrum.add_argument("--seed", type=int, default=0)
     spectrum.add_argument("--json", action="store_true")
     spectrum.set_defaults(func=cmd_osserman_spectrum)
@@ -365,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     nilpotent.add_argument("--kind", choices=("sym", "skew"), default="sym")
     nilpotent.add_argument("--p", type=int, required=True)
     nilpotent.add_argument("--q", type=int, required=True)
-    nilpotent.add_argument("--samples", type=_positive_int, default=20)
+    nilpotent.add_argument("--samples", type=_count, default=20)
     nilpotent.add_argument("--seed", type=int, default=0)
     nilpotent.add_argument("--json", action="store_true")
     nilpotent.set_defaults(func=cmd_osserman_nilpotent)
@@ -373,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     lorentz = osserman_sub.add_parser("lorentz",
                                       help="signature (1,q) rigidity checks")
     lorentz.add_argument("--q", type=_positive_int, required=True)
-    lorentz.add_argument("--trials", type=_positive_int, default=50)
-    lorentz.add_argument("--samples", type=_positive_int, default=20)
+    lorentz.add_argument("--trials", type=_count, default=50)
+    lorentz.add_argument("--samples", type=_count, default=20)
     lorentz.add_argument("--seed", type=int, default=0)
     lorentz.add_argument("--json", action="store_true")
     lorentz.set_defaults(func=cmd_osserman_lorentz)
@@ -385,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="clifford")
     demo.add_argument("--l0", type=_fraction, default=Fraction(2))
     demo.add_argument("--l1", type=_fraction, default=Fraction(1))
-    demo.add_argument("--count", type=_positive_int, default=10)
-    demo.add_argument("--samples", type=_positive_int, default=20)
+    demo.add_argument("--count", type=_count, default=10)
+    demo.add_argument("--samples", type=_count, default=20)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--json", action="store_true")
     demo.set_defaults(func=cmd_osserman_demo)

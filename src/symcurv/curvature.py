@@ -17,9 +17,9 @@ are in their docstrings):
 and every algebraic curvature tensor is a signed rational combination of
 gammas and alphas.  The direct membership test applies elements too: the
 annihilators ``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]``
-and the Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The three
-``decompose_*`` functions compute such combinations constructively and
-verify the reconstruction exactly before returning.
+and the Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  ``decompose_pure`` (and
+``decompose_mixed``, its alpha-only alias) computes such combinations
+constructively and verifies the reconstruction exactly before returning.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class CanonicalElements:
 
     ``swap_sym`` is the unnormalized pair-exchange symmetrization
     ``id + (1 3)(2 4)`` used inside the generators; ``swap_proj`` is its
-    idempotent half, which fixes every curvature tensor (so the mixed
+    idempotent half, which fixes every curvature tensor (so the alpha
     decomposition slices its input directly, without applying it).  The gamma
     and alpha generators span the same right ideal as ``symmetrizer_star``;
     ``gamma_preimage`` is a fixed solution of
@@ -441,44 +441,40 @@ def _polarized_terms(source: DenseTensor,
     return _merge_terms(raw)
 
 
-def decompose_mixed(tensor: DenseTensor) -> CurvatureDecomposition:
-    """Write a curvature tensor as signed weighted alphas.
-
-    The pair-exchange projector fixes the input, so slicing the input
-    itself into ``M (x) unit`` pairs and symmetrizing gives
-    ``T = 1/2 sum (M (x) N + N (x) M)``, and polarization turns each summand
-    into a difference of squares.  Every slice ``M`` is skew, so the
-    symmetric parts of ``M + N``, ``M`` and ``N`` are ``sym(N)``, ``0`` and
-    ``sym(N)``, and their gamma terms cancel.  Only the skew parts
-    ``(X - X^T)/2`` are polarized, so the result has alpha terms only.
-    """
+def _alpha_decomposition(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
+    """The alpha-only decomposition of :func:`decompose_pure`, labelled ``kind``."""
     _require_curvature(tensor)
     merged = _polarized_terms(
         tensor, lambda m: (m - m.transpose()).scale(Fraction(1, 2)), Fraction(1, 2))
-    return _checked(CurvatureDecomposition("mixed", tensor.dim, (), merged), tensor)
+    return _checked(CurvatureDecomposition(kind, tensor.dim, (), merged), tensor)
+
+
+def decompose_mixed(tensor: DenseTensor) -> CurvatureDecomposition:
+    """Alias of ``decompose_pure(tensor, "alpha")`` with the kind ``"mixed"``."""
+    return _alpha_decomposition(tensor, "mixed")
 
 
 def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
     """Write a curvature tensor using gammas only or alphas only.
 
-    kind="alpha": the alpha generator rescales curvature tensors by 96, so
-    ``T' = T/96`` satisfies ``alpha_generator T' == T``; slicing ``T'``,
-    skew-symmetrizing both slice factors, polarizing, and applying the
-    starred symmetrizer leaves alpha terms only.
+    kind="alpha": the pair-exchange projector fixes the input, so slicing
+    the input itself into ``M (x) unit`` pairs and symmetrizing gives
+    ``T = 1/2 sum (M (x) N + N (x) M)``, and polarization turns each summand
+    into a difference of squares.  Every slice ``M`` is skew, so the
+    symmetric parts of ``M + N``, ``M`` and ``N`` are ``sym(N)``, ``0`` and
+    ``sym(N)``, and their gamma terms cancel.  Only the skew parts
+    ``(X - X^T)/2`` are polarized, so the result has alpha terms only.
 
     kind="gamma": the gamma generator annihilates curvature tensors from
-    the left, so instead ``T' = (gamma_preimage T)/12`` is used, which
-    satisfies ``gamma_generator T' == T``; then the same pipeline with
-    symmetrized factors leaves gamma terms only.
+    the left, so ``T' = (gamma_preimage T)/12`` is sliced instead, which
+    satisfies ``gamma_generator T' == T``; polarizing the symmetric parts
+    ``X + X^T`` of its slice factors leaves gamma terms only.
     """
     if kind not in ("gamma", "alpha"):
         raise ValueError(f"kind must be 'gamma' or 'alpha', got {kind!r}")
-    _require_curvature(tensor)
     if kind == "alpha":
-        merged = _polarized_terms(tensor.scale(Fraction(1, 96)),
-                                  lambda m: m - m.transpose(), Fraction(12))
-        return _checked(
-            CurvatureDecomposition("pure-alpha", tensor.dim, (), merged), tensor)
+        return _alpha_decomposition(tensor, "pure-alpha")
+    _require_curvature(tensor)
     source = apply_symmetry_operator(
         canonical_elements().gamma_preimage, tensor).scale(Fraction(1, 12))
     merged = _polarized_terms(source, lambda m: m + m.transpose(), Fraction(12))

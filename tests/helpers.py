@@ -70,6 +70,18 @@ def rand_curvature(rng: random.Random, n: int, pieces: int = 2) -> DenseTensor:
     return total
 
 
+def pull_back(t: DenseTensor, q) -> DenseTensor:
+    """``(Q*T)(u, v, w, z) = T(Q u, Q v, Q w, Q z)`` for the square matrix
+    ``q`` given by its rows, entrywise and one slot at a time."""
+    n = t.dim
+    entries = {idx: t[idx] for idx in t.indices()}
+    for slot in range(4):
+        entries = {idx: sum(q[a][idx[slot]] * entries[idx[:slot] + (a,) + idx[slot + 1:]]
+                            for a in range(n))
+                   for idx in entries}
+    return DenseTensor.from_entries(4, n, entries)
+
+
 def rand_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(rand_fraction(rng, -4, 4, 3) for _ in range(n))
 

@@ -11,7 +11,7 @@ import pytest
 
 import symcurv
 from symcurv import Metric, alpha, gamma, tensor_product
-from symcurv.cli import main
+from symcurv.cli import COUNT_CAP, main
 
 from helpers import rand_curvature, rand_skew, rand_symmetric, rand_tensor
 
@@ -440,3 +440,42 @@ def test_nonpositive_counts_are_input_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["osserman", "spectrum", "--tensor", "t.json", "--metric", "g.json",
+     "--count", "10000000"],
+    ["osserman", "nilpotent", "--p", "2", "--q", "2", "--samples", "100000000"],
+    ["osserman", "demo", "--count", "10001"],
+    ["osserman", "demo", "--family", "nilpotent-alpha", "--samples", "10001"],
+    ["osserman", "lorentz", "--q", "2", "--trials", "10001"],
+    ["osserman", "lorentz", "--q", "2", "--samples", str(10 ** 18)],
+])
+def test_oversized_counts_are_input_errors(argv, capsys):
+    # refused by argparse, before any sampling starts
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"at most the cap {COUNT_CAP}" in capsys.readouterr().err
+
+
+def test_count_cap_itself_is_accepted(capsys):
+    assert main(["osserman", "nilpotent", "--p", "1", "--q", "1",
+                 "--samples", str(COUNT_CAP), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == COUNT_CAP
+
+
+def test_huge_decimal_exponents_are_input_errors(tmp_path):
+    # 10**300000000 would take minutes to build; both refusals come at once.
+    # Run in a fresh process, so a regression fails here instead of stalling.
+    path = tmp_path / "t.json"
+    path.write_text('{"order":4,"dim":2,"entries":[{"idx":[0,1,0,1],"value":"1e300000000"}]}')
+    source = str(Path(symcurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    for argv in (["check-curvature", str(path)], ["osserman", "demo", "--l0=1e999999999"]):
+        done = subprocess.run([sys.executable, "-m", "symcurv.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert sum("error:" in line for line in done.stderr.splitlines()) == 1

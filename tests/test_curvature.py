@@ -35,8 +35,10 @@ from symcurv import (
 )
 
 from helpers import (
+    pull_back,
     rand_curvature,
     rand_fraction,
+    rand_matrix,
     rand_skew,
     rand_symmetric,
     rand_tensor,
@@ -292,12 +294,21 @@ def test_identity_table_detects_corruption():
 
 # ------------------------------------------------------------- decompositions
 
+def _assert_alpha_alias(t: DenseTensor, mixed: CurvatureDecomposition) -> None:
+    """``decompose_mixed(t)`` is ``decompose_pure(t, "alpha")`` under its own
+    kind."""
+    pure = decompose_pure(t, "alpha")
+    assert pure.alpha_terms == mixed.alpha_terms
+    assert (pure.kind, mixed.kind) == ("pure-alpha", "mixed")
+
+
 def test_mixed_round_trip_gamma_input():
     rng = random.Random(38)
     t = gamma(rand_symmetric(rng, 3))
     d = decompose_mixed(t)
     assert d.kind == "mixed"
     assert d.reconstruct() == t
+    _assert_alpha_alias(t, d)
     assert d.gamma_terms == ()
     assert len(d.alpha_terms) <= 9  # 3·n(n−1)/2 at n = 3
     for _, _, m in d.alpha_terms:
@@ -324,6 +335,7 @@ def test_mixed_matches_symmetric_split_reference(n):
     t = rand_curvature(random.Random(60 + n), n)
     d = decompose_mixed(t)
     assert d.to_json_dict() == _mixed_by_sym_split(t).to_json_dict()
+    _assert_alpha_alias(t, d)
     assert d.gamma_terms == ()
     assert 0 < len(d.alpha_terms) <= 3 * n * (n - 1) // 2
 
@@ -334,6 +346,7 @@ def test_mixed_round_trip_clifford_shape():
     t = clifford_family(1, [1], [quaternion_triple()[0]], g)
     d = decompose_mixed(t)
     assert d.reconstruct() == t
+    _assert_alpha_alias(t, d)
 
 
 def test_decompose_zero_is_empty():
@@ -370,6 +383,35 @@ def test_all_decompositions_round_trip_random_mixtures():
         assert decompose_mixed(t).reconstruct() == t
         assert decompose_pure(t, "gamma").reconstruct() == t
         assert decompose_pure(t, "alpha").reconstruct() == t
+
+
+@pytest.mark.parametrize("n,singular", [(2, False), (3, False), (3, True), (4, False),
+                                        (4, True)])
+def test_basis_change_commutes_with_constructors_and_decompositions(n, singular):
+    # pull_back(T, P)(u, v, w, z) = T(Pu, Pv, Pw, Pz) for a rational P that
+    # need not be invertible; the matrix of a pulled-back form is P^T M P
+    rng = random.Random(700 + 10 * n + singular)
+    p = rand_matrix(rng, n)
+    rows = p.to_nested()
+    if singular:
+        rows[-1] = [2 * v for v in rows[0]]
+        p = DenseTensor.from_nested(rows)
+    pt = p.transpose()
+    s, a = rand_symmetric(rng, n), rand_skew(rng, n)
+    assert gamma(pt @ s @ p) == pull_back(gamma(s), rows)
+    assert alpha(pt @ a @ p) == pull_back(alpha(a), rows)
+    t = rand_curvature(rng, n)
+    pulled = pull_back(t, rows)
+    assert is_algebraic_curvature(pulled)
+    mixed = decompose_mixed(t)
+    _assert_alpha_alias(t, mixed)
+    for d in (mixed, decompose_pure(t, "gamma"), decompose_pure(t, "alpha")):
+        moved = replace(d, **{
+            field: tuple(term._replace(matrix=pt @ term.matrix @ p)
+                         for term in getattr(d, field))
+            for field in ("gamma_terms", "alpha_terms")})
+        assert d.term_count > 0
+        assert moved.reconstruct() == pulled
 
 
 def test_decompose_rejects_non_curvature():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcurv._exact import exact, numerators, row_reduce
+from symcurv._exact import EXPONENT_CAP, exact, numerators, row_reduce
 
 
 def test_numerators_over_the_least_common_denominator():
@@ -31,6 +31,25 @@ def test_numerators_cases():
 def test_exact_refuses_bools_and_floats(value):
     with pytest.raises(TypeError, match="rejected"):
         exact(value)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "-3.5E+4301", " 2e4_301 ",
+                                  "1e300000000", "1e-999999999"])
+def test_exact_refuses_exponents_past_the_cap(text):
+    # Fraction would build 10**|exponent| first: seconds to minutes here
+    with pytest.raises(ValueError, match="cap"):
+        exact(text)
+
+
+def test_exact_parses_exponents_up_to_the_cap():
+    assert EXPONENT_CAP == 4300
+    assert exact("1e4300") == 10 ** 4300
+    assert exact("1e-4300") == Fraction(1, 10 ** 4300)
+    assert exact("-2.5e-3") == Fraction(-1, 400)
+    assert exact("-4/3") == Fraction(-4, 3)
+    for text in ("1e", "e5", "1/2e3"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            exact(text)
 
 
 def _random_matrix(rng: random.Random) -> tuple[list[list[int]], int]:

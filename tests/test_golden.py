@@ -191,7 +191,7 @@ GOLDEN = {
     "derivative-idempotent-u1": "4ab7557f33b45594649c700bfd00cc20bb82c1c9c02315526fb06fd82a4532f2",
     "derivative-idempotent-u2": "fe16fcfc8613e52190e75f2ac6b80e22010883de68911bdb366839452f7327d3",
     "cli-check-curvature": "ce2ec6bea9efd0cb4f5457d78517434a196fbb98739372e807174d300016960d",
-    "cli-decompose-alpha": "60c7f324e73c2308b5886a5a7787bf123ba0de70a4ff16c1090c0485897714c9",
+    "cli-decompose-alpha": "cce4381d6bbfcbac07f47e4fc0dadf5dc37554f1d760c993ef28af4fa58ebf88",
     "cli-decompose-gamma": "ac2741cd21adc2f32789cf055e006f131a1cd772c077160eed7e67af76c9b11c",
     "cli-decompose-mixed": "56dc6895a61091bc953300b91f0e8451eb2b9067cee89cd3ae5586b2f83228c8",
     "cli-decompose-stdout": "3cf3793e07a069f02bfcd87bd6b200325849830c04742b384fae0b18af8fe2e5",
@@ -201,9 +201,9 @@ GOLDEN = {
     "cli-lorentz": "ba7c33077bfd032072f16016573958752017952e7d999ba49c5ac169fa9c926d",
     "cli-nilpotent": "5bc4b1bab5f4bac35fa15f36e0dd94c14a636b88e4c6eeed85dad7a36cc90a95",
     "cli-spectrum": "551da66e7d0119060626e0b75bfcde820dfdff120f71af846d1052cbd6697635",
-    "decompose-alpha-n3": "1d89affb0ad5b2ee4e75d7f6f35df0e715e1d91d6ed5754d57639bcff70eabe0",
-    "decompose-alpha-n4": "75b230f9ca04d1402873f6cfd9c93dc4156b7048a534b4576e512b1e3b65f0cc",
-    "decompose-alpha-n5": "da8ac1129e0017807d4fd6961d775c897bf395ca28a788cdeb583eac13ab522c",
+    "decompose-alpha-n3": "ce26a4ed29dab0fd0c1fc2e0fbd3dda517633c0d1c1319dc165e3f459b80a739",
+    "decompose-alpha-n4": "9fe499f1cac56d6b0a949a4229c9159f714c35a7bb138be939e651f90012c06c",
+    "decompose-alpha-n5": "514ab1b6940763f08d2d0eefab73b153b8042e39dbc9da62ddcba5ff8e4027a5",
     "decompose-gamma-n3": "5d94f2c6dfaae1ca8456aea44618301b9add586d86c8ecf287a43204850cbd28",
     "decompose-gamma-n4": "73f700f8b714935d990f621b04c6febc2d1c929d67ac751caecf1a39788f36ee",
     "decompose-gamma-n5": "5928d87edf792566abb36f6382ef57621a98d8d3fecb6f768b7bc80b15c442c7",

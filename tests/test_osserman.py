@@ -33,8 +33,8 @@ from symcurv import (
     sample_vectors,
 )
 
-from helpers import (isolated, rand_curvature, rand_fraction, rand_skew,
-                     rand_symmetric, rand_vector)
+from helpers import (isolated, pull_back, rand_curvature, rand_fraction,
+                     rand_skew, rand_symmetric, rand_vector)
 
 
 def _mat(rows):
@@ -645,18 +645,6 @@ def _cayley(rng, diag):
             return _matmul(_inverse(minus), plus)
 
 
-def _pull_back(t, q):
-    """``(Q*T)(u, v, w, z) = T(Q u, Q v, Q w, Q z)``, entrywise and one slot
-    at a time."""
-    n = t.dim
-    entries = {idx: t[idx] for idx in t.indices()}
-    for slot in range(4):
-        entries = {idx: sum(q[a][idx[slot]] * entries[idx[:slot] + (a,) + idx[slot + 1:]]
-                            for a in range(n))
-                   for idx in entries}
-    return DenseTensor.from_entries(4, n, entries)
-
-
 def _apply(q, x):
     return tuple(sum(q[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))
 
@@ -674,7 +662,7 @@ def test_jacobi_spectra_invariant_under_isometries(p, q):
     for iso in isometries:
         assert _congruent(iso, diag) == [list(row) for row in g.rows]
         t = rand_curvature(rng, 4, 1)
-        pulled = _pull_back(t, iso)
+        pulled = pull_back(t, iso)
         for sign in (1, -1) if q else (1,):
             for x in sample_unit_vectors(g, sign, 2, seed=rng.randrange(10 ** 6)):
                 pair = [char_poly(jacobi_operator(pulled, g, x)),
@@ -689,7 +677,7 @@ def test_jacobi_spectra_invariant_under_isometries(p, q):
     stretch = [[2 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
     t = rand_curvature(rng, 4, 1)
     x = sample_unit_vectors(g, 1, 2, seed=1)[1]
-    assert (char_poly(jacobi_operator(_pull_back(t, stretch), g, x))
+    assert (char_poly(jacobi_operator(pull_back(t, stretch), g, x))
             != char_poly(jacobi_operator(t, g, _apply(stretch, x))))
 
 
