@@ -1,7 +1,12 @@
 """Command-line surface: verification reports and JSON tensor I/O.
 
+Each ``cmd_*`` returns its report as ``(payload, text_lines, exit_code)``
+and prints nothing; ``main`` alone writes stdout (the payload as JSON under
+``--json``, else the text lines) and maps errors to exit codes.
+
 Exit codes: 0 success, 1 a verification ran and failed, 2 unreadable or
-malformed input, 3 a mathematical precondition was violated (e.g. the
+malformed input (or a report holding a number past the interpreter's
+digit limit), 3 a mathematical precondition was violated (e.g. the
 input is not a curvature tensor), 4 the requested construction cannot
 exist in the requested signature.
 """
@@ -12,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from ._exact import exact
@@ -129,21 +133,17 @@ def _parse_partition(text: str) -> Partition:
         raise _InputError(f"bad partition {text!r}: {err}")
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+#: What a command returns: its JSON payload, its text lines (``None`` for a
+#: command with no text form) and its exit code.
+Report = tuple[dict, list[str] | None, int]
 
 
-def _print_report_lines(lines) -> None:
-    for line in lines:
-        print(f"{'PASS' if line.passed else 'FAIL'}  {line.label}")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def cmd_identities(args) -> int:
-    elements = canonical_elements()
-    if args.corrupt:
-        elements = replace(elements,
-                           alpha_generator=elements.alpha_generator.scale(2))
-    lines = list(verify_identity_table(elements).lines)
+def cmd_identities(args) -> Report:
+    lines = list(verify_identity_table().lines)
     for u in (0, 1, 2):
         idem = derivative_idempotent(u)
         lines.append(TableLine(
@@ -151,33 +151,27 @@ def cmd_identities(args) -> int:
             idem * idem == idem,
         ))
     report = IdentityTableReport(tuple(lines))
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        _print_report_lines(report.lines)
-        verdict = "all passed" if report.all_ok else "FAILURES above"
-        print(f"{len(report.lines)} checks: {verdict}")
-    return 0 if report.all_ok else 1
+    text = [f"{'PASS' if line.passed else 'FAIL'}  {line.label}" for line in report.lines]
+    verdict = "all passed" if report.all_ok else "FAILURES above"
+    text.append(f"{len(report.lines)} checks: {verdict}")
+    return report.to_json_dict(), text, 0 if report.all_ok else 1
 
 
-def cmd_check_curvature(args) -> int:
+def cmd_check_curvature(args) -> Report:
     tensor = _load_tensor(args.path, expect_order=4)
     result = check_curvature(tensor)
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        if result.direct_ok:
-            print("direct symmetries + Bianchi: PASS")
-        else:
-            print(f"direct symmetries + Bianchi: FAIL ({result.first_violation})")
-        print("symmetrizer criterion (ystar T == 12 T): "
-              + ("PASS" if result.young_ok else "FAIL"))
-        print(f"Bianchi defect nonzero entries: {result.bianchi_nonzero}")
-        print("PASS" if result.ok else "FAIL")
-    return 0 if result.ok else 3
+    direct = "PASS" if result.direct_ok else f"FAIL ({result.first_violation})"
+    text = [f"direct symmetries + Bianchi: {direct}",
+            "symmetrizer criterion (ystar T == 12 T): "
+            + ("PASS" if result.young_ok else "FAIL"),
+            f"Bianchi defect nonzero entries: {result.bianchi_nonzero}",
+            "PASS" if result.ok else "FAIL"]
+    return result.to_json_dict(), text, 0 if result.ok else 3
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> Report:
+    """The decomposition JSON has no text form: the text lines are ``None``
+    unless ``--out`` took the JSON, and then they name the file."""
     tensor = _load_tensor(args.path, expect_order=4)
     if args.mode == "mixed":
         decomposition = decompose_mixed(tensor)
@@ -187,86 +181,68 @@ def cmd_decompose(args) -> int:
     # with the input; a mismatch raises instead.
     payload = decomposition.to_json_dict()
     payload["reconstruction_exact"] = True
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as err:
-            raise _InputError(f"{args.out}: {err.strerror or err}")
-        print(f"{decomposition.kind}: {decomposition.term_count} terms -> {args.out}; "
-              "reconstruction exact: yes")
-    else:
-        print(text)
-    return 0
+    if not args.out:
+        return payload, None, 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(_json_text(payload) + "\n")
+    except OSError as err:
+        raise _InputError(f"{args.out}: {err.strerror or err}")
+    return payload, [f"{decomposition.kind}: {decomposition.term_count} terms -> "
+                     f"{args.out}; reconstruction exact: yes"], 0
 
 
-def cmd_schur_lr(args) -> int:
+def cmd_schur_lr(args) -> Report:
     try:
         result = lr_product(_parse_partition(args.lam), _parse_partition(args.mu))
     except ValueError as err:
         raise _InputError(f"schur lr: {err}")
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(result)
-    return 0
+    return result.to_json_dict(), [str(result)], 0
 
 
-def cmd_schur_plethysm(args) -> int:
+def cmd_schur_plethysm(args) -> Report:
     try:
         result = plethysm_sym2(args.n)
     except ValueError as err:
         raise _InputError(f"schur plethysm: {err}")
     if args.kind == "alt2":
         result = plethysm_transpose(result)
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(result)
-    return 0
+    return result.to_json_dict(), [str(result)], 0
 
 
-def _spectrum_report(args, tensor, metric, sign, title=None) -> int:
-    """Sample the Jacobi spectra, print them as text or ``--json``, and
-    return exit code 1 unless they are constant."""
+def _spectrum_report(args, tensor, metric, sign, title=None) -> Report:
+    """Sample the Jacobi spectra and report them, with exit code 1 unless
+    they are constant."""
     report = osserman_spectrum_sample(tensor, metric, args.count, sign, args.seed)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        if title:
-            print(title)
-        print(f"{len(report.samples)} samples on g(x,x) == {report.sign:+d}")
-        for x, roots, remainder in zip(report.samples, report.roots, report.remainders):
-            shown = ", ".join(f"{root} (x{mult})" for root, mult in roots) or "-"
-            extra = "" if len(remainder) == 1 else \
-                f"; unfactored degree {len(remainder) - 1}"
-            print(f"  x = ({', '.join(str(v) for v in x)}): roots {shown}{extra}")
-        if not report.all_rational:
-            print("note: non-rational spectrum; constancy checked at "
-                  "characteristic-polynomial level")
-        print(f"constant across samples: {'yes' if report.constant else 'NO'}")
-    return 0 if report.constant else 1
+    text = [title] if title else []
+    text.append(f"{len(report.samples)} samples on g(x,x) == {report.sign:+d}")
+    for x, roots, remainder in zip(report.samples, report.roots, report.remainders):
+        shown = ", ".join(f"{root} (x{mult})" for root, mult in roots) or "-"
+        extra = "" if len(remainder) == 1 else \
+            f"; unfactored degree {len(remainder) - 1}"
+        text.append(f"  x = ({', '.join(str(v) for v in x)}): roots {shown}{extra}")
+    if not report.all_rational:
+        text.append("note: non-rational spectrum; constancy checked at "
+                    "characteristic-polynomial level")
+    text.append(f"constant across samples: {'yes' if report.constant else 'NO'}")
+    return report.to_json_dict(), text, 0 if report.constant else 1
 
 
-def _nilpotency_report(args, kind, p, q, fields, title=None) -> int:
+def _nilpotency_report(args, kind, p, q, fields, title=None) -> Report:
     """Check ``J(x)^2 == 0`` for the built-in ``kind`` ("sym" or "skew")
-    example on signature (p, q), print the verdict as text or ``--json``
-    (``fields`` name the example), and return exit code 1 if it fails."""
+    example on signature (p, q) and report the verdict (``fields`` name the
+    example in the payload), with exit code 1 if it fails."""
     metric = Metric.standard(p, q)
     tensor = (gamma(nilpotent_sym_example(p, q)) if kind == "sym"
               else alpha(nilpotent_skew_example(p, q)))
     ok = nilpotency_check(tensor, metric, args.samples, args.seed)
-    if args.json:
-        _emit_json({**fields, "p": p, "q": q, "samples": args.samples, "nilpotent": ok})
-    else:
-        if title:
-            print(title)
-        print(f"J(x)^2 == 0 at all {args.samples} samples: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
+    text = [title] if title else []
+    text.append(f"J(x)^2 == 0 at all {args.samples} samples: " + ("PASS" if ok else "FAIL"))
+    payload = {**fields, "p": p, "q": q, "samples": args.samples, "nilpotent": ok}
+    return payload, text, 0 if ok else 1
 
 
-def cmd_osserman_spectrum(args) -> int:
+def cmd_osserman_spectrum(args) -> Report:
     tensor = _load_tensor(args.tensor, expect_order=4)
     metric = _load_metric(args.metric)
     if tensor.dim != metric.dim:
@@ -276,28 +252,25 @@ def cmd_osserman_spectrum(args) -> int:
     return _spectrum_report(args, tensor, metric, 1 if args.sign == "+" else -1)
 
 
-def cmd_osserman_nilpotent(args) -> int:
+def cmd_osserman_nilpotent(args) -> Report:
     _require_signature(args.p, args.q)
     return _nilpotency_report(args, args.kind, args.p, args.q, {"kind": args.kind})
 
 
-def cmd_osserman_lorentz(args) -> int:
+def cmd_osserman_lorentz(args) -> Report:
     _require_signature(1, args.q)
     report = lorentz_checks(args.q, args.trials, args.samples, args.seed)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        print(f"signature (1,{args.q})")
-        print(f"  {report.skew_trials} random nonzero skew A, all with "
-              f"(A F)^2 != 0: " + ("PASS" if report.skew_all_non_nilpotent else "FAIL"))
-        print(f"  J == 0 for the nilpotent-symmetric construction at "
-              f"{report.jacobi_samples} samples: "
-              + ("PASS" if report.jacobi_all_zero else "FAIL"))
-        print("PASS" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    text = [f"signature (1,{args.q})",
+            f"  {report.skew_trials} random nonzero skew A, all with "
+            f"(A F)^2 != 0: " + ("PASS" if report.skew_all_non_nilpotent else "FAIL"),
+            f"  J == 0 for the nilpotent-symmetric construction at "
+            f"{report.jacobi_samples} samples: "
+            + ("PASS" if report.jacobi_all_zero else "FAIL"),
+            "PASS" if report.ok else "FAIL"]
+    return report.to_json_dict(), text, 0 if report.ok else 1
 
 
-def cmd_osserman_demo(args) -> int:
+def cmd_osserman_demo(args) -> Report:
     if args.family == "clifford":
         metric = Metric.standard(4, 0)
         tensor = clifford_family(args.l0, [args.l1], [quaternion_triple()[0]], metric)
@@ -315,21 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification and decomposition of algebraic "
                     "curvature tensors.",
     )
+    parser.set_defaults(json=False)  # decompose writes JSON only
     commands = parser.add_subparsers(dest="command", required=True)
 
     identities = commands.add_parser(
         "identities", help="verify the generator product table and the "
                            "derivative idempotents")
-    identities.add_argument("--json", action="store_true")
-    identities.add_argument("--corrupt", action="store_true",
-                            help=argparse.SUPPRESS)  # failure-path test hook
     identities.set_defaults(func=cmd_identities)
 
     check = commands.add_parser(
         "check-curvature", help="test an order-4 tensor file for the "
                                 "curvature symmetries")
     check.add_argument("path")
-    check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_check_curvature)
 
     decompose = commands.add_parser(
@@ -351,13 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     lr = schur_sub.add_parser("lr", help="Littlewood-Richardson product")
     lr.add_argument("lam", help="first partition, e.g. 2")
     lr.add_argument("mu", help="second partition, e.g. 1,1")
-    lr.add_argument("--json", action="store_true")
     lr.set_defaults(func=cmd_schur_lr)
     plethysm = schur_sub.add_parser("plethysm",
                                     help="symmetric/alternating square rules")
     plethysm.add_argument("kind", choices=("sym2", "alt2"))
     plethysm.add_argument("n", type=int)
-    plethysm.add_argument("--json", action="store_true")
     plethysm.set_defaults(func=cmd_schur_plethysm)
 
     osserman = commands.add_parser("osserman",
@@ -373,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--sign", choices=("+", "-"), default="+")
     spectrum.add_argument("--count", type=_count, default=10)
     spectrum.add_argument("--seed", type=int, default=0)
-    spectrum.add_argument("--json", action="store_true")
     spectrum.set_defaults(func=cmd_osserman_spectrum)
 
     nilpotent = osserman_sub.add_parser("nilpotent",
@@ -384,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     nilpotent.add_argument("--q", type=int, required=True)
     nilpotent.add_argument("--samples", type=_count, default=20)
     nilpotent.add_argument("--seed", type=int, default=0)
-    nilpotent.add_argument("--json", action="store_true")
     nilpotent.set_defaults(func=cmd_osserman_nilpotent)
 
     lorentz = osserman_sub.add_parser("lorentz",
@@ -393,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     lorentz.add_argument("--trials", type=_count, default=50)
     lorentz.add_argument("--samples", type=_count, default=20)
     lorentz.add_argument("--seed", type=int, default=0)
-    lorentz.add_argument("--json", action="store_true")
     lorentz.set_defaults(func=cmd_osserman_lorentz)
 
     demo = osserman_sub.add_parser("demo", help="run a built-in example")
@@ -405,28 +370,43 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--count", type=_count, default=10)
     demo.add_argument("--samples", type=_count, default=20)
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--json", action="store_true")
     demo.set_defaults(func=cmd_osserman_demo)
     # argparse reads only integers and decimals such as -4 or -0.5 as
     # negative numbers; let "--l0 -4/3" pass a negative fraction too.
     demo._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
+    # added last, so that usage lines keep listing it after the other options
+    for reporting in (identities, check, lr, plethysm, spectrum, nilpotent, lorentz, demo):
+        reporting.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command, then write either its whole report to stdout or one
+    ``error:`` line to stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
+        output = _json_text(payload) if lines is None or args.json else "\n".join(lines)
     except _InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, error = 2, str(err)
     except NotACurvatureTensor as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        code, error = 3, str(err)
     except SignatureError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
+        code, error = 4, str(err)
+    except ValueError as err:
+        # a result with an integer too long for str(); the JSON reader keeps
+        # the same limit to refuse over-long numbers, so it is not lifted
+        if "integer string conversion" not in str(err):
+            raise
+        code, error = 2, (f"the report holds a number of more than "
+                          f"{sys.get_int_max_str_digits()} digits, past the "
+                          "interpreter's limit for integer string conversion")
+    else:
+        print(output)
+        return code
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

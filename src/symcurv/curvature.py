@@ -511,8 +511,8 @@ def verify_identity_table(
     """Recompute the nine products among ``ystar`` and the two generators
     and compare with their known closed forms (coefficients 12, 96, 0).
 
-    ``elements`` exists for fault injection in tests and the CLI; the
-    default is the canonical set.
+    ``elements`` exists for fault injection in tests; the default is the
+    canonical set.
     """
     e = elements if elements is not None else canonical_elements()
     ys, gg, ag = e.symmetrizer_star, e.gamma_generator, e.alpha_generator

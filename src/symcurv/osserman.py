@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, dropwhile, zip_longest
-from math import gcd, lcm
+from itertools import count, dropwhile, islice, product, zip_longest
+from math import gcd, isqrt, lcm
 from operator import mul, not_
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -489,19 +489,19 @@ def _find_anchor(g: Metric, sign: int) -> Vector:
     for i in range(n):
         if g._matrix[i, i] == sign:
             return tuple(Fraction(int(j == i)) for j in range(n))
-    # non-diagonal or scaled metric: bounded deterministic grid search.
-    # May legitimately fail: a quadric can be nonempty over the reals yet
-    # have no rational points at all.
-    span = sorted({Fraction(v, d) for v in range(-4, 5) for d in (1, 2, 3, 4)})
-    from itertools import product as _product
-    limit = 500_000
-    tried = 0
-    for candidate in _product(span, repeat=n):
-        tried += 1
-        if tried > limit:
-            break
-        if any(candidate) and g.inner(candidate, candidate) == sign:
-            return tuple(candidate)
+    # With g = G/den on integers, a vector v with sign*den*v^T G v == s^2 > 0
+    # gives g(x, x) == sign at x = v*den/s.  Try small integer v, the first
+    # coordinate varying fastest.  May legitimately fail: a quadric can be
+    # nonempty over the reals yet have no rational points at all, or none
+    # this small.
+    rows, den = g._matrix._int_rows()
+    terms = [(i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c]
+    for w in islice(product((0, 1, -1, 2, -2, 3, -3, 4, -4), repeat=n), 500_000):
+        v = w[::-1]
+        q = sign * den * sum(c * v[i] * v[j] for i, j, c in terms)
+        s = isqrt(q) if q > 0 else 0
+        if s and s * s == q:
+            return tuple(Fraction(x * den, s) for x in v)
     raise SignatureError(
         f"found no small rational vector with g(x,x) == {sign:+d}; "
         "the quadric may have no rational points -- use a standard-form "

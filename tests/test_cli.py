@@ -5,12 +5,15 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import symcurv
-from symcurv import Metric, alpha, gamma, tensor_product
+from symcurv import (LinearMap, Metric, alpha, canonical_elements, gamma,
+                     tensor_product, verify_identity_table)
 from symcurv.cli import COUNT_CAP, main
 
 from helpers import rand_curvature, rand_skew, rand_symmetric, rand_tensor
@@ -39,9 +42,16 @@ def test_identities_json(capsys):
     assert len(payload["checks"]) == 12
 
 
-def test_identities_corruption_hook(capsys):
-    assert main(["identities", "--corrupt"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_identities_corruption_hook(monkeypatch, capsys):
+    e = canonical_elements()
+    broken = replace(e, alpha_generator=e.alpha_generator.scale(2))
+    monkeypatch.setattr("symcurv.cli.verify_identity_table",
+                        lambda: verify_identity_table(broken))
+    assert main(["identities"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and out.endswith("12 checks: FAILURES above\n")
+    assert main(["identities", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
 
 
 def test_check_curvature_pass(curvature_file, capsys):
@@ -331,6 +341,20 @@ def test_osserman_spectrum_of_a_generic_tensor_says_no(tmp_path):
     assert "unfactored degree 3" in done.stdout
 
 
+def test_osserman_spectrum_on_a_scaled_metric(tmp_path, capsys):
+    # no diagonal entry of 2*I_6 is 1, so sampling needs a searched anchor
+    g = Metric([[2 * (i == j) for j in range(6)] for i in range(6)])
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text(json.dumps(gamma(g.tensor()).to_json_dict()))
+    metric_path.write_text(json.dumps(g.to_json_dict()))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "x = (1/2, 1/2, 0, 0, 0, 0)" in out
+    assert "constant across samples: yes" in out
+
+
 def test_osserman_nilpotent_ok(capsys):
     assert main(["osserman", "nilpotent", "--kind", "skew",
                  "--p", "2", "--q", "2"]) == 0
@@ -479,3 +503,77 @@ def test_huge_decimal_exponents_are_input_errors(tmp_path):
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
         assert sum("error:" in line for line in done.stderr.splitlines()) == 1
+
+
+def _digit_limit_tensor() -> dict:
+    """``alpha(E12 - E21)`` scaled so that every entry has 4300 digits, the
+    interpreter's limit for integer string conversion: the file reads, but
+    its decomposition holds longer numbers."""
+    a = LinearMap([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    return alpha(a).scale(Fraction(15 * 10 ** 4299, 2)).to_json_dict()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["osserman", "demo", "--l0=1e4300"], 2),
+    (["osserman", "demo", "--l0=1e4300", "--json"], 2),
+    (["decompose", "big.json"], 2),
+    (["decompose", "big.json", "--out", "dec.json"], 2),
+    (["check-curvature", "missing.json", "--json"], 2),
+    (["decompose", "generic.json"], 3),
+    (["osserman", "nilpotent", "--p", "0", "--q", "2", "--json"], 4),
+])
+def test_error_exits_print_one_line_and_no_report(argv, code, tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(json.dumps(_digit_limit_tensor()))
+    (tmp_path / "generic.json").write_text(
+        json.dumps(rand_tensor(random.Random(83), 4, 2).to_json_dict()))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "dec.json").exists()
+    if "big.json" in argv or "--l0=1e4300" in argv:
+        assert "4300 digits" in err[0]
+
+
+def test_digit_limit_tensor_is_readable(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_digit_limit_tensor()))
+    assert main(["check-curvature", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS\n")
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    def fail():
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr("symcurv.cli.verify_identity_table", fail)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["identities"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities"],
+    ["check-curvature", "t.json"],
+    ["schur", "lr", "2", "1"],
+    ["schur", "plethysm", "alt2", "2"],
+    ["osserman", "spectrum", "--tensor", "t.json", "--metric", "g.json", "--count", "2"],
+    ["osserman", "nilpotent", "--p", "1", "--q", "1", "--samples", "2"],
+    ["osserman", "lorentz", "--q", "1", "--trials", "2", "--samples", "2"],
+    ["osserman", "demo", "--count", "2"],
+    ["decompose", "t.json"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_json_flag_on_every_reporting_command(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps(rand_curvature(random.Random(4), 3).to_json_dict()))
+    (tmp_path / "g.json").write_text(json.dumps({"p": 3, "q": 0}))
+    if argv[0] == "decompose":  # writes JSON only, so it takes no --json
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        return
+    assert main(argv + ["--json"]) in (0, 1)
+    assert isinstance(json.loads(capsys.readouterr().out), dict)

@@ -39,6 +39,7 @@ from symcurv import (
     quaternion_triple,
     solve_right_factor,
     standard_tableaux,
+    tensor_product,
     young_symmetrizer,
 )
 from symcurv.cli import main
@@ -58,9 +59,7 @@ def _decomposition(mode: str, n: int) -> str:
 
 
 def _clifford_r4() -> str:
-    g = Metric.standard(4, 0)
-    i, j, _ = quaternion_triple()
-    tensor = clifford_family(Fraction(2), [Fraction(1), Fraction(-1, 3)], [i, j], g)
+    tensor, g = _quaternion_clifford()
     return _dumps(osserman_spectrum_sample(tensor, g, 6, 1, seed=3).to_json_dict())
 
 
@@ -136,9 +135,11 @@ def _cli(argv: list[str]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def _cli_on_tensor(argv: list[str], tmp_path: Path) -> str:
+def _cli_on_tensor(argv: list[str], tmp_path: Path, tensor=None) -> str:
+    if tensor is None:
+        tensor = rand_curvature(random.Random(7), 4)
     path = tmp_path / "tensor.json"
-    path.write_text(_dumps(rand_curvature(random.Random(7), 4).to_json_dict()))
+    path.write_text(_dumps(tensor.to_json_dict()))
     return _cli([argv[0], str(path), *argv[1:]])
 
 
@@ -148,15 +149,35 @@ def _cli_decompose_out(mode: str, tmp_path: Path) -> str:
     return stdout.replace(str(out), "OUT") + out.read_text()
 
 
-def _cli_spectrum(tmp_path: Path) -> str:
-    g = Metric.standard(2, 2)
-    tensor = clifford_family(1, [2], [_split_complex_structure()], g)
+def _cli_spectrum(tmp_path: Path, tensor, g: Metric, *flags: str) -> str:
     tensor_path, metric_path = tmp_path / "t.json", tmp_path / "g.json"
     tensor_path.write_text(_dumps(tensor.to_json_dict()))
     metric_path.write_text(_dumps(g.to_json_dict()))
     return _cli(["osserman", "spectrum", "--tensor", str(tensor_path),
-                 "--metric", str(metric_path), "--sign", "-", "--count", "4",
-                 "--seed", "2", "--json"])
+                 "--metric", str(metric_path), *flags])
+
+
+def _split_clifford() -> tuple:
+    g = Metric.standard(2, 2)
+    return clifford_family(1, [2], [_split_complex_structure()], g), g
+
+
+def _quaternion_clifford() -> tuple:
+    g = Metric.standard(4, 0)
+    i, j, _ = quaternion_triple()
+    return clifford_family(Fraction(2), [Fraction(1), Fraction(-1, 3)], [i, j], g), g
+
+
+def _not_curvature():
+    """``S (x) S`` for a symmetric S: symmetric in the first index pair, so
+    the direct test fails on antisymmetry."""
+    s = LinearMap([[1, 2], [2, -1]])
+    return tensor_product(s, s)
+
+
+SCHUR_ARGV = {"lr": ["schur", "lr", "2", "1,1"],
+              "sym2": ["schur", "plethysm", "sym2", "3"],
+              "alt2": ["schur", "plethysm", "alt2", "3"]}
 
 
 CASES = {
@@ -169,7 +190,26 @@ CASES = {
        for mode in ("mixed", "gamma", "alpha")},
     "cli-decompose-stdout": lambda tmp: _cli_on_tensor(["decompose"], tmp),
     "cli-check-curvature": lambda tmp: _cli_on_tensor(["check-curvature", "--json"], tmp),
-    "cli-spectrum": _cli_spectrum,
+    "cli-check-curvature-text": lambda tmp: _cli_on_tensor(["check-curvature"], tmp),
+    "cli-check-curvature-fail": lambda tmp: _cli_on_tensor(
+        ["check-curvature"], tmp, _not_curvature()),
+    "cli-check-curvature-fail-json": lambda tmp: _cli_on_tensor(
+        ["check-curvature", "--json"], tmp, _not_curvature()),
+    "cli-spectrum": lambda tmp: _cli_spectrum(tmp, *_split_clifford(), "--sign", "-",
+                                              "--count", "4", "--seed", "2", "--json"),
+    "cli-spectrum-text": lambda tmp: _cli_spectrum(tmp, *_quaternion_clifford(),
+                                                   "--count", "6", "--seed", "3"),
+    "cli-spectrum-generic-n3": lambda tmp: _cli_spectrum(
+        tmp, rand_curvature(random.Random(1), 3), Metric.standard(3, 0), "--count", "3"),
+    **{f"cli-schur-{name}{suffix}": (lambda tmp, argv=argv + flags: _cli(argv))
+       for name, argv in SCHUR_ARGV.items()
+       for suffix, flags in (("-text", []), ("-json", ["--json"]))},
+    "cli-demo-text": lambda tmp: _cli(["osserman", "demo"]),
+    "cli-demo-nilpotent-gamma-text": lambda tmp: _cli(
+        ["osserman", "demo", "--family", "nilpotent-gamma"]),
+    "cli-nilpotent-text": lambda tmp: _cli(["osserman", "nilpotent", "--p", "2", "--q", "1"]),
+    "cli-lorentz-text": lambda tmp: _cli(["osserman", "lorentz", "--q", "2", "--trials", "10"]),
+    "cli-identities-text": lambda tmp: _cli(["identities"]),
     "cli-demo": lambda tmp: _cli(["osserman", "demo", "--json"]),
     "cli-demo-nilpotent-alpha": lambda tmp: _cli(
         ["osserman", "demo", "--family", "nilpotent-alpha", "--json"]),
@@ -191,16 +231,32 @@ GOLDEN = {
     "derivative-idempotent-u1": "4ab7557f33b45594649c700bfd00cc20bb82c1c9c02315526fb06fd82a4532f2",
     "derivative-idempotent-u2": "fe16fcfc8613e52190e75f2ac6b80e22010883de68911bdb366839452f7327d3",
     "cli-check-curvature": "ce2ec6bea9efd0cb4f5457d78517434a196fbb98739372e807174d300016960d",
+    "cli-check-curvature-fail": "0193412d7cc990c654d18857ebdcd8d83feab2eaf487ce79a9298d4d7de1d364",
+    "cli-check-curvature-fail-json": "6dc29978d3818b38bf54dd9c262ebd3d73a791efb942a4fc42a0643ac2069aca",
+    "cli-check-curvature-text": "0505d8aba9abfe7710663449323675e6bee331d005c7dc0c10c0db66f39bcbec",
     "cli-decompose-alpha": "cce4381d6bbfcbac07f47e4fc0dadf5dc37554f1d760c993ef28af4fa58ebf88",
     "cli-decompose-gamma": "ac2741cd21adc2f32789cf055e006f131a1cd772c077160eed7e67af76c9b11c",
     "cli-decompose-mixed": "56dc6895a61091bc953300b91f0e8451eb2b9067cee89cd3ae5586b2f83228c8",
     "cli-decompose-stdout": "3cf3793e07a069f02bfcd87bd6b200325849830c04742b384fae0b18af8fe2e5",
     "cli-demo": "16ec88a5aab301889fb579e468112c70ac277c227f7554ef68eaff076a4fdbe2",
     "cli-demo-nilpotent-alpha": "32b8a64f3a3d2ef63852ecda7863e87a2862411c2cdc0cfc13c130c0901c0304",
+    "cli-demo-nilpotent-gamma-text": "1d60cb68a97b6bc0d793417484673af913c5932cb4b5f8a676fabbc6e4cef97b",
+    "cli-demo-text": "e30497c7b02022197885a859e4652f46ebee4959452e901ad8ce1a3b53a9cc5c",
     "cli-identities": "f6eadfa94169920a90c866143d3e0556873a38de2f1f1d25c1c9c7a877b8499e",
+    "cli-identities-text": "fe9ce17883e10d0aa954e40a5444640e5e9e48f83d8319a3db0f52897c0aadc6",
     "cli-lorentz": "ba7c33077bfd032072f16016573958752017952e7d999ba49c5ac169fa9c926d",
+    "cli-lorentz-text": "11c019b021be160a7d3446da348eec006641974d286b5452fb80b75d8c2e6ec0",
     "cli-nilpotent": "5bc4b1bab5f4bac35fa15f36e0dd94c14a636b88e4c6eeed85dad7a36cc90a95",
+    "cli-nilpotent-text": "4b8c2a1fd513e9946d2327e92b82b46374f4e8ea8ee7f0cd24dd19a78715db06",
+    "cli-schur-alt2-json": "15d5d407b5d89df5c9518ce5bb143357aaf5fe98b9139eb798b665e6470130da",
+    "cli-schur-alt2-text": "5dea7f2919f348fab2ea308ebedb6f798d663671efcb8737c49a6948e2da551e",
+    "cli-schur-lr-json": "f275c8284e7550c90aaf8d3f82d4b05febde30f9ae8b39ab392245c6d5dd6554",
+    "cli-schur-lr-text": "3d186b92d66fd4ec4d8720ecdcdf3e0ef30401fef6db1833b9983f3cbf49194b",
+    "cli-schur-sym2-json": "39da05159638e18f70ec5c55807ea3a9b096996e31d397ed079b916af719eca6",
+    "cli-schur-sym2-text": "b8176a89b07f71b42bf818327f5f5d68ac3b24f89c35805b0eeb696857548521",
     "cli-spectrum": "551da66e7d0119060626e0b75bfcde820dfdff120f71af846d1052cbd6697635",
+    "cli-spectrum-generic-n3": "f3d8ba4c1c5ba2f724d73cb5eb5e8212df4e6ba1ebd55763dc542ce545017fa9",
+    "cli-spectrum-text": "009de728bfe0779bc1a04af841bf133260a872b5bd8f64216c082f2f15d8f053",
     "decompose-alpha-n3": "ce26a4ed29dab0fd0c1fc2e0fbd3dda517633c0d1c1319dc165e3f459b80a739",
     "decompose-alpha-n4": "9fe499f1cac56d6b0a949a4229c9159f714c35a7bb138be939e651f90012c06c",
     "decompose-alpha-n5": "514ab1b6940763f08d2d0eefab73b153b8042e39dbc9da62ddcba5ff8e4027a5",

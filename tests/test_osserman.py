@@ -910,7 +910,8 @@ def test_sample_unit_vectors_exact_and_deterministic():
 
 
 def test_sample_unit_vectors_custom_metric():
-    # non-standard metrics: the anchor comes from a deterministic grid search
+    # non-standard metrics: the anchor comes from a search over small
+    # integer vectors, scaled onto the sphere
     g = Metric([[4, 0], [0, -1]])
     for sign in (1, -1):
         xs = sample_unit_vectors(g, sign, 8, seed=2)
@@ -924,6 +925,38 @@ def test_sample_unit_vectors_custom_metric():
     # honest outcome is an error even though the real quadric is nonempty
     with pytest.raises(SignatureError, match="rational"):
         sample_unit_vectors(skewed, -1, 8, seed=2)
+
+
+def _scaled_identity(k: int, n: int) -> Metric:
+    return Metric([[k * (i == j) for j in range(n)] for i in range(n)])
+
+
+def test_sample_unit_vectors_anchor_of_scaled_metrics():
+    # no diagonal entry equals the sign, and the first sphere points have
+    # coordinates 1/2 or 2.  Run in a fresh process, so a search that takes
+    # tens of seconds fails here by timeout.
+    block = [[0] * 8 for _ in range(8)]
+    block[0][:2], block[1][:2] = [2, 1], [1, -3]
+    for i in range(2, 8):
+        block[i][i] = 5
+    half = Fraction(1, 2)
+    cases = [(_scaled_identity(2, 4), 1, (half, half, 0, 0)),
+             (_scaled_identity(2, 6), 1, (half, half) + (0,) * 4),
+             (_scaled_identity(2, 8), 1, (half, half) + (0,) * 6),
+             (Metric(block), -1, (1, 2, 1) + (0,) * 5),
+             (Metric([[0, 1], [1, 0]]), 1, (1, half))]
+    results = isolated(sample_unit_vectors, [(g, sign, 4, 1) for g, sign, _ in cases],
+                       timeout=30)
+    for (g, sign, anchor), xs in zip(cases, results):
+        assert xs[0] == anchor
+        assert len(set(xs)) == 4 and all(g.inner(x, x) == sign for x in xs)
+
+
+def test_sample_unit_vectors_exhausted_search_is_bounded():
+    # 10007 * (sum of at most 8 squares of |v| <= 4) is never a square, so
+    # every candidate is tried before the documented failure
+    with pytest.raises(SignatureError, match="rational"):
+        isolated(sample_unit_vectors, [(_scaled_identity(10007, 8), 1, 2)], timeout=30)
 
 
 def test_sample_unit_vectors_empty_sphere():
