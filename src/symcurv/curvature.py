@@ -18,8 +18,8 @@ and every algebraic curvature tensor is a signed rational combination of
 gammas and alphas.  The direct membership test applies elements too: the
 annihilators ``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]``
 and the Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  ``decompose_pure`` (and
-``decompose_mixed``, its alpha-only alias) computes such combinations
-constructively and verifies the reconstruction exactly before returning.
+``decompose_mixed``, its alpha-only alias) polarizes the n(n+-1)/2 index
+pairs k <= l once each and checks the reconstruction exactly before returning.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from ._exact import exact, json_int, numerators
 from .symgroup import GroupRingElement, solve_right_factor
@@ -37,7 +37,6 @@ from .tensor_ops import (
     DenseTensor,
     Scalar,
     apply_symmetry_operator,
-    slice_pairs,
     tensor_product,
 )
 from .young import curvature_tableau, young_symmetrizer
@@ -427,31 +426,37 @@ def _checked(decomposition: CurvatureDecomposition,
     return decomposition
 
 
-def _polarized_terms(source: DenseTensor,
-                     project: Callable[[DenseTensor], DenseTensor],
-                     weight: Fraction) -> tuple[DecompositionTerm, ...]:
-    """Slice ``source`` into ``M (x) N`` pairs, project both factors, and
-    polarize ``P(M) (x) P(N) + P(N) (x) P(M)`` as
-    ``(P(M) + P(N))^2 - P(M)^2 - P(N)^2`` with weights ``+-weight``;
-    equal matrices are merged."""
-    raw: list[tuple[Fraction, DenseTensor]] = []
-    for m, n in slice_pairs(source):
-        first, second = project(m), project(n)
-        raw += ((weight, first + second), (-weight, first), (-weight, second))
-    return _merge_terms(raw)
-
-
-def _alpha_decomposition(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
-    """The alpha-only decomposition of :func:`decompose_pure`, labelled ``kind``."""
+def _decomposition(tensor: DenseTensor, kind: str, label: str) -> CurvatureDecomposition:
+    """The ``kind``-only decomposition of :func:`decompose_pure`, labelled ``label``."""
     _require_curvature(tensor)
-    merged = _polarized_terms(
-        tensor, lambda m: (m - m.transpose()).scale(Fraction(1, 2)), Fraction(1, 2))
-    return _checked(CurvatureDecomposition(kind, tensor.dim, (), merged), tensor)
+    n = tensor.dim
+    if kind == "alpha":
+        source, weight = tensor, Fraction(1, 2)
+        project = lambda m: (m - m.transpose()).scale(Fraction(1, 2))
+    else:
+        source = apply_symmetry_operator(
+            canonical_elements().gamma_preimage, tensor).scale(Fraction(1, 12))
+        weight = Fraction(12)
+        project = lambda m: m + m.transpose()
+    raw: list[tuple[Fraction, DenseTensor]] = []
+    for k in range(n):
+        for l in range(k, n):
+            slab = DenseTensor._unchecked(2, n, source._ints[k * n + l::n * n], source._den)
+            if slab.is_zero:
+                continue
+            first = project(slab)
+            second = project(DenseTensor.from_entries(2, n, {(k, l): 1}))
+            w = weight if k == l else 2 * weight
+            raw += ((w, first + second), (-w, first), (-w, second))
+    # diagonal slices yield rank-1 terms, whose gamma is 0 (skew ranks are even)
+    merged = tuple(t for t in _merge_terms(raw) if not _rank_at_most_one(t.matrix))
+    gammas, alphas = (merged, ()) if kind == "gamma" else ((), merged)
+    return _checked(CurvatureDecomposition(label, n, gammas, alphas), tensor)
 
 
 def decompose_mixed(tensor: DenseTensor) -> CurvatureDecomposition:
     """Alias of ``decompose_pure(tensor, "alpha")`` with the kind ``"mixed"``."""
-    return _alpha_decomposition(tensor, "mixed")
+    return _decomposition(tensor, "alpha", "mixed")
 
 
 def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
@@ -469,19 +474,14 @@ def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
     the left, so ``T' = (gamma_preimage T)/12`` is sliced instead, which
     satisfies ``gamma_generator T' == T``; polarizing the symmetric parts
     ``X + X^T`` of its slice factors leaves gamma terms only.
+
+    Both kinds slice only the index pairs ``k <= l``: on a curvature tensor
+    the projected ``(l, k)`` pair repeats the ``(k, l)`` pair up to the sign
+    of both factors, so off the diagonal it counts twice.
     """
     if kind not in ("gamma", "alpha"):
         raise ValueError(f"kind must be 'gamma' or 'alpha', got {kind!r}")
-    if kind == "alpha":
-        return _alpha_decomposition(tensor, "pure-alpha")
-    _require_curvature(tensor)
-    source = apply_symmetry_operator(
-        canonical_elements().gamma_preimage, tensor).scale(Fraction(1, 12))
-    merged = _polarized_terms(source, lambda m: m + m.transpose(), Fraction(12))
-    # polarizing with diagonal slices yields rank-1 terms, whose gamma is 0
-    merged = tuple(t for t in merged if not _rank_at_most_one(t.matrix))
-    return _checked(
-        CurvatureDecomposition("pure-gamma", tensor.dim, merged, ()), tensor)
+    return _decomposition(tensor, kind, f"pure-{kind}")
 
 
 @dataclass(frozen=True)

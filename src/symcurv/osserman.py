@@ -379,10 +379,7 @@ def clifford_check(maps: Iterable[LinearMap], g: Metric,
         if not g.is_skew_map(c):
             return False
         square = c @ c
-        if generalized:
-            if square != identity and square != minus_identity:
-                return False
-        elif square != minus_identity:
+        if square != minus_identity and not (generalized and square == identity):
             return False
     for i, ci in enumerate(maps):
         for cj in maps[i + 1:]:
@@ -514,8 +511,10 @@ def sample_unit_vectors(g: Metric, sign: int, count: int,
     """Deterministic rational points with ``g(x,x) == sign`` exactly.
 
     A rational line ``anchor + s*d`` meets the quadric again at the
-    rational parameter ``s = -2 g(anchor, d) / g(d, d)``, so arbitrarily
-    many exact sphere points come from random small integer directions.
+    rational parameter ``s = -2 g(anchor, d) / g(d, d)``, so exact sphere
+    points come from random small integer directions, drawn from a range
+    that widens by one after every ``count`` draws that give no new point.
+    R^1 has only the two points ``+-anchor``.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -524,25 +523,25 @@ def sample_unit_vectors(g: Metric, sign: int, count: int,
         raise SignatureError(
             f"the pseudo-sphere g(x,x) == {sign:+d} is empty in signature ({p},{q})"
         )
+    count = min(count, 2) if g.dim == 1 else count
     anchor = _find_anchor(g, sign)
+    rows, _ = g._matrix._int_rows()
+    nums, den = numerators(anchor)
     rng = random.Random(seed)
-    points: list[Vector] = [anchor]
+    points: list[Vector] = [anchor] if count > 0 else []
     seen = {anchor}
-    attempts = 0
-    while len(points) < count and attempts < 400 * count:
-        attempts += 1
-        direction = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                          for _ in range(g.dim))
-        if not any(direction):
-            continue
-        dd = g.inner(direction, direction)
-        if not dd:
-            continue
-        s = -2 * g.inner(anchor, direction) / dd
-        if not s:
-            continue
-        x = tuple(a + s * d for a, d in zip(anchor, direction))
+    misses = 0
+    while len(points) < count:
+        # twice Fraction(randint(-reach, reach), randint(1, 2)), so the same line
+        reach = 3 + misses // count
+        d = [rng.randint(-reach, reach) * (2 // rng.randint(1, 2)) for _ in rows]
+        image = [sum(map(mul, row, d)) for row in rows]  # G d, and G is symmetric
+        dd, ad = sum(map(mul, d, image)), sum(map(mul, nums, image))
+        # a zero, isotropic or tangent direction meets the sphere only at the anchor
+        x = anchor if not dd else tuple(
+            Fraction(a * dd - 2 * ad * v, den * dd) for a, v in zip(nums, d))
         if x in seen:
+            misses += 1
             continue
         if g.inner(x, x) != sign:  # cannot happen; guards the algebra above
             raise RuntimeError("sphere sampling produced an off-sphere point")

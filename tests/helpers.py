@@ -9,7 +9,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from symcurv import DenseTensor, GroupRingElement, Permutation, alpha, gamma
+from symcurv import (DenseTensor, GroupRingElement, LinearMap, Metric, Permutation,
+                     alpha, clifford_family, gamma, nilpotent_skew_example,
+                     quaternion_triple)
 
 
 def isolated(func, calls, timeout: float = 60) -> list:
@@ -68,6 +70,34 @@ def rand_curvature(rng: random.Random, n: int, pieces: int = 2) -> DenseTensor:
         d = rand_fraction(rng, -3, 3, 2)
         total = total + alpha(rand_skew(rng, n)).scale(d)
     return total
+
+
+def quaternion_clifford() -> tuple[DenseTensor, Metric]:
+    """The Clifford family of the quaternion units i, j on Euclidean R^4."""
+    g = Metric.standard(4, 0)
+    i, j, _ = quaternion_triple()
+    return clifford_family(Fraction(2), [Fraction(1), Fraction(-1, 3)], [i, j], g), g
+
+
+def skew_unit(n: int, i: int, j: int) -> DenseTensor:
+    """The skew matrix ``E_ij - E_ji`` on R^n (0-based indices)."""
+    return DenseTensor.from_entries(2, n, {(i, j): 1, (j, i): -1})
+
+
+def structured_curvatures() -> dict[str, DenseTensor]:
+    """Curvature tensors with structure that seeded ones lack: many zero
+    slices, a curvature operator with an all-zero diagonal
+    (``alpha(E12 + E34) - alpha(E12) - alpha(E34)``), a nilpotent example
+    of signature (2,2) and a Clifford family."""
+    e12, e34 = skew_unit(4, 0, 1), skew_unit(4, 2, 3)
+    return {
+        "gamma-identity-n3": gamma(LinearMap.identity(3)),
+        "gamma-identity-n4": gamma(LinearMap.identity(4)),
+        "alpha-e12-n3": alpha(skew_unit(3, 0, 1)),
+        "zero-diagonal-n4": alpha(e12 + e34) - alpha(e12) - alpha(e34),
+        "alpha-nilpotent-skew": alpha(nilpotent_skew_example(2, 2)),
+        "clifford-quaternion": quaternion_clifford()[0],
+    }
 
 
 def pull_back(t: DenseTensor, q) -> DenseTensor:

@@ -43,6 +43,7 @@ from helpers import (
     rand_symmetric,
     rand_tensor,
     rand_vector,
+    structured_curvatures,
 )
 
 
@@ -338,6 +339,48 @@ def test_mixed_matches_symmetric_split_reference(n):
     _assert_alpha_alias(t, d)
     assert d.gamma_terms == ()
     assert 0 < len(d.alpha_terms) <= 3 * n * (n - 1) // 2
+
+
+def _every_pair_reference(t: DenseTensor, kind: str, label: str) -> CurvatureDecomposition:
+    """Reference: polarize every pair of the public ``slice_pairs`` of the
+    source, all n^2 of them, then merge and drop the rank-<=1 terms."""
+    if kind == "alpha":
+        source, weight = t, Fraction(1, 2)
+        project = lambda m: (m - m.transpose()).scale(Fraction(1, 2))
+    else:
+        source = apply_symmetry_operator(
+            canonical_elements().gamma_preimage, t).scale(Fraction(1, 12))
+        weight = Fraction(12)
+        project = lambda m: m + m.transpose()
+    raw = []
+    for m, n in slice_pairs(source):
+        first, second = project(m), project(n)
+        raw += ((weight, first + second), (-weight, first), (-weight, second))
+    terms = tuple(term for term in curvature_module._merge_terms(raw)
+                  if not curvature_module._rank_at_most_one(term.matrix))
+    gammas, alphas = (terms, ()) if kind == "gamma" else ((), terms)
+    return CurvatureDecomposition(label, t.dim, gammas, alphas)
+
+
+def _slab(t: DenseTensor, k: int, l: int) -> DenseTensor:
+    return DenseTensor.from_function(2, t.dim, lambda x: t[x[0], x[1], k, l])
+
+
+def test_decompositions_match_every_pair_reference():
+    tensors = [rand_curvature(random.Random(70 + n), n) for n in range(1, 8)]
+    tensors += structured_curvatures().values()
+    for t in tensors:
+        assert decompose_pure(t, "gamma") == _every_pair_reference(t, "gamma", "pure-gamma")
+        assert decompose_pure(t, "alpha") == _every_pair_reference(t, "alpha", "pure-alpha")
+        assert decompose_mixed(t) == _every_pair_reference(t, "alpha", "mixed")
+    # the two column facts that let the library slice only k <= l
+    for n in range(2, 6):
+        t = rand_curvature(random.Random(80 + n), n)
+        source = apply_symmetry_operator(canonical_elements().gamma_preimage, t)
+        for k, l in product(range(n), repeat=2):
+            assert _slab(t, l, k) == -_slab(t, k, l)
+            forward, backward = _slab(source, k, l), _slab(source, l, k)
+            assert backward + backward.transpose() == forward + forward.transpose()
 
 
 def test_mixed_round_trip_clifford_shape():

@@ -36,7 +36,6 @@ from symcurv import (
     derivative_idempotent,
     osserman_spectrum_sample,
     partitions_of,
-    quaternion_triple,
     solve_right_factor,
     standard_tableaux,
     tensor_product,
@@ -44,7 +43,8 @@ from symcurv import (
 )
 from symcurv.cli import main
 
-from helpers import rand_curvature, rand_fraction, rand_ring_element
+from helpers import (quaternion_clifford, rand_curvature, rand_fraction,
+                     rand_ring_element, structured_curvatures)
 
 
 def _dumps(payload) -> str:
@@ -52,14 +52,17 @@ def _dumps(payload) -> str:
 
 
 def _decomposition(mode: str, n: int) -> str:
-    tensor = rand_curvature(random.Random(100 + n), n)
+    return _decomposition_of(mode, rand_curvature(random.Random(100 + n), n))
+
+
+def _decomposition_of(mode: str, tensor) -> str:
     if mode == "mixed":
         return _dumps(decompose_mixed(tensor).to_json_dict())
     return _dumps(decompose_pure(tensor, mode).to_json_dict())
 
 
 def _clifford_r4() -> str:
-    tensor, g = _quaternion_clifford()
+    tensor, g = quaternion_clifford()
     return _dumps(osserman_spectrum_sample(tensor, g, 6, 1, seed=3).to_json_dict())
 
 
@@ -162,12 +165,6 @@ def _split_clifford() -> tuple:
     return clifford_family(1, [2], [_split_complex_structure()], g), g
 
 
-def _quaternion_clifford() -> tuple:
-    g = Metric.standard(4, 0)
-    i, j, _ = quaternion_triple()
-    return clifford_family(Fraction(2), [Fraction(1), Fraction(-1, 3)], [i, j], g), g
-
-
 def _not_curvature():
     """``S (x) S`` for a symmetric S: symmetric in the first index pair, so
     the direct test fails on antisymmetry."""
@@ -183,6 +180,9 @@ SCHUR_ARGV = {"lr": ["schur", "lr", "2", "1,1"],
 CASES = {
     **{f"decompose-{mode}-n{n}": (lambda tmp, mode=mode, n=n: _decomposition(mode, n))
        for mode in ("mixed", "gamma", "alpha") for n in (3, 4, 5)},
+    **{f"decompose-{mode}-{name}": (
+        lambda tmp, mode=mode, name=name: _decomposition_of(mode, structured_curvatures()[name]))
+       for mode in ("mixed", "gamma", "alpha") for name in structured_curvatures()},
     "spectrum-clifford-r4": lambda tmp: _clifford_r4(),
     "spectrum-clifford-split": lambda tmp: _clifford_split(),
     "metric-random-symmetric": lambda tmp: _random_metrics(),
@@ -197,7 +197,7 @@ CASES = {
         ["check-curvature", "--json"], tmp, _not_curvature()),
     "cli-spectrum": lambda tmp: _cli_spectrum(tmp, *_split_clifford(), "--sign", "-",
                                               "--count", "4", "--seed", "2", "--json"),
-    "cli-spectrum-text": lambda tmp: _cli_spectrum(tmp, *_quaternion_clifford(),
+    "cli-spectrum-text": lambda tmp: _cli_spectrum(tmp, *quaternion_clifford(),
                                                    "--count", "6", "--seed", "3"),
     "cli-spectrum-generic-n3": lambda tmp: _cli_spectrum(
         tmp, rand_curvature(random.Random(1), 3), Metric.standard(3, 0), "--count", "3"),
@@ -266,6 +266,24 @@ GOLDEN = {
     "decompose-mixed-n3": "3afd4c9852c92c153146fb0b9a8bc7dc45c6ec5109f9d4bdd497b4e084a42641",
     "decompose-mixed-n4": "1c09cc1c6d31f1bcfd80158b42ba0afcb376c374d7257e11f423363250d417dc",
     "decompose-mixed-n5": "1e9a40b300dfb161058967f55f32767a67bc138baa104260c4eac39f1fe42e9b",
+    "decompose-alpha-alpha-e12-n3": "21aedb6ee31d0181abf4a005c2d6f359b2832d17008721a6e913fce0da78bbe4",
+    "decompose-alpha-alpha-nilpotent-skew": "1e9cf86c2d23198161ec02f16932a047f9ffa1c1a10665ed4debfdb7de98574b",
+    "decompose-alpha-clifford-quaternion": "e08a5da5d89c59164bb6f5bb67d28c353186ead57d703a7022e7fa0e8a90b60d",
+    "decompose-alpha-gamma-identity-n3": "437c9c188b439a2c252a4988c52d188ed61cb4ec773d1cb53c666f923d9afd2f",
+    "decompose-alpha-gamma-identity-n4": "dccb11ceb56c4507c6fc4500fc8dc8a94a03ea3406e2908b160163575be624ef",
+    "decompose-alpha-zero-diagonal-n4": "294384bd01ba8bd758c9f73ce84cf91ee3e3e678fa9041ce0a2f71dc70961f06",
+    "decompose-gamma-alpha-e12-n3": "51539e2016eb65d18f6b28d41b0c223fe74c69037fa87f179f9289d81d2f1528",
+    "decompose-gamma-alpha-nilpotent-skew": "3e36290478c7fbe1378cb248e22a90ac1a47e3193f3ba9eeca0568545a08d5f7",
+    "decompose-gamma-clifford-quaternion": "2f5418b97aa51ae6305c53a73641357c2b990939020aa98b14a8907253cabd1a",
+    "decompose-gamma-gamma-identity-n3": "2262287b74b3167b8c710bb2fb0a66823434be2045b37eafc8759ab11ed5eb2c",
+    "decompose-gamma-gamma-identity-n4": "82d544830ed6f8582970768852e9445fef269d88122ff51f2f1a74b2b6f8aaa5",
+    "decompose-gamma-zero-diagonal-n4": "b1465d254f2dfed5fe1a944a1820f88e4a31f1f9d744cb5a2d5e3eb3f77e3095",
+    "decompose-mixed-alpha-e12-n3": "a91e80a2ff06dfb432d129ff20cd952221075166efb5d2eb6b82a1515cb67cf4",
+    "decompose-mixed-alpha-nilpotent-skew": "b5639755d715dddead232d85278a6c5da84827a9cc82da6de89047648c182b53",
+    "decompose-mixed-clifford-quaternion": "a13e833f22c9850cf81d5cd038693b217cda4a904e5ecde4d7fec592a4afb78d",
+    "decompose-mixed-gamma-identity-n3": "34f1408f28964c009bec02930d2fa40f98f79b527d70174c7569d3cf62817a2c",
+    "decompose-mixed-gamma-identity-n4": "fa9896cf1bb9ae5c3397997168fa7cb60b0c1baac6b3387b46b51b4237ead97c",
+    "decompose-mixed-zero-diagonal-n4": "105be1ce6d3fff135a1bdcb912257e8ea7ef8e3b4f1c676a51f5d487094d1dae",
     "metric-random-symmetric": "b30ba971ee3a59bcfc593ae4967c58dfe9e56e8e62527dea1dda78a74a079294",
     "solve-right-factor": "ee3bc109605448c454917db3def2904ab2de6d471ffb6736a6050f724007fbb9",
     "spectrum-clifford-r4": "8205870a103c2c8b09876eb6285cd244b28c650387d309961ca518e740dd9abf",

@@ -959,6 +959,23 @@ def test_sample_unit_vectors_exhausted_search_is_bounded():
         isolated(sample_unit_vectors, [(_scaled_identity(10007, 8), 1, 2)], timeout=30)
 
 
+def test_sample_unit_vectors_always_meets_the_count():
+    # the first draw range holds only 28 lines through the anchor on R^2, so
+    # the range must widen.  Run in a fresh process, so a sampler that runs
+    # out of directions fails here by timeout instead of stalling the suite.
+    cases = [((2, 0), 1, 200), ((3, 0), 1, 200), ((1, 1), -1, 200),
+             ((1, 0), 1, 5), ((0, 1), -1, 5), ((2, 0), 1, 0)]
+    results = isolated(sample_unit_vectors,
+                       [(Metric.standard(*pq), sign, count) for pq, sign, count in cases],
+                       timeout=30)
+    for (pq, sign, count), xs in zip(cases, results):
+        g = Metric.standard(*pq)
+        assert len(xs) == len(set(xs)) == (2 if g.dim == 1 else count)
+        assert all(g.inner(x, x) == sign for x in xs)
+    g = Metric.standard(3, 0)
+    assert osserman_spectrum_sample(gamma(g.tensor()), g, 0, 1).samples == ()
+
+
 def test_sample_unit_vectors_empty_sphere():
     with pytest.raises(SignatureError):
         sample_unit_vectors(Metric.standard(3, 0), -1, 5)
