@@ -7,7 +7,6 @@ group times the signed column group, ``sum sign(q) * (p * q)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations as _subset_orders, product as _product
 from math import factorial
 from typing import Iterable, Mapping
 
@@ -16,6 +15,7 @@ from .symgroup import (
     DEGREE_CAP,
     GroupRingElement,
     Permutation,
+    _block_images,
     _check_cap,
     _convolve,
 )
@@ -245,20 +245,6 @@ def standard_tableaux(lam: Partition, cap: int = DEGREE_CAP) -> list[YoungTablea
     return out
 
 
-def _block_permutations(degree: int, blocks: Iterable[Iterable[int]]) -> list[Permutation]:
-    """Direct product of the symmetric groups on the given disjoint blocks."""
-    block_lists = [sorted(b) for b in blocks if len(tuple(b)) > 0]
-    per_block = [list(_subset_orders(b)) for b in block_lists]
-    out = []
-    for combo in _product(*per_block):
-        images = list(range(1, degree + 1))
-        for positions, targets in zip(block_lists, combo):
-            for pos, img in zip(positions, targets):
-                images[pos - 1] = img
-        out.append(Permutation._unchecked(tuple(images)))
-    return out
-
-
 def young_symmetrizer(tableau: YoungTableau, cap: int = DEGREE_CAP) -> GroupRingElement:
     """``sum over p in H, q in V of sign(q) * (p * q)``.
 
@@ -266,9 +252,9 @@ def young_symmetrizer(tableau: YoungTableau, cap: int = DEGREE_CAP) -> GroupRing
     """
     r = tableau.size
     _check_cap(r, cap)
-    horizontal = [(p.images, 1) for p in _block_permutations(r, tableau.rows)]
-    vertical = [(q.images, q.sign())
-                for q in _block_permutations(r, tableau.columns())]
+    horizontal = [(p, 1) for p in _block_images(r, tableau.rows)]
+    vertical = [(q, Permutation._unchecked(q).sign())
+                for q in _block_images(r, tableau.columns())]
     return GroupRingElement._unchecked(r, _convolve(horizontal, vertical), 1)
 
 

@@ -38,6 +38,7 @@ from symcurv import (
     partitions_of,
     solve_right_factor,
     standard_tableaux,
+    star,
     tensor_product,
     young_symmetrizer,
 )
@@ -105,6 +106,23 @@ def _symmetrizers(r: int) -> str:
     """The symmetrizer of every standard tableau of degree ``r``."""
     return "\n".join(_dumps([tableau.rows, young_symmetrizer(tableau).to_json_dict()])
                      for shape in partitions_of(r) for tableau in standard_tableaux(shape))
+
+
+def _symmetrizer_squares(r: int) -> str:
+    """``y*y`` and ``star(y)*star(y)`` for the symmetrizer ``y`` of every
+    standard tableau of degree ``r``."""
+    lines = []
+    for shape in partitions_of(r):
+        for tableau in standard_tableaux(shape):
+            y = young_symmetrizer(tableau)
+            lines.append(_dumps([tableau.rows, (y * y).to_json_dict(),
+                                 (star(y) * star(y)).to_json_dict()]))
+    return "\n".join(lines)
+
+
+def _idempotent_squares(u: int) -> str:
+    e = derivative_idempotent(u)
+    return _dumps([(e * e).to_json_dict(), (star(e) * star(e)).to_json_dict()])
 
 
 def _canonical_elements() -> str:
@@ -220,7 +238,9 @@ CASES = {
     "cli-identities": lambda tmp: _cli(["identities", "--json"]),
     **{f"young-symmetrizers-r{r}": (lambda tmp, r=r: _symmetrizers(r)) for r in (4, 5)},
     **{f"derivative-idempotent-u{u}": (
-        lambda tmp, u=u: _dumps(derivative_idempotent(u).to_json_dict())) for u in (0, 1, 2)},
+        lambda tmp, u=u: _dumps(derivative_idempotent(u).to_json_dict())) for u in (0, 1, 2, 3)},
+    **{f"symmetrizer-squares-r{r}": (lambda tmp, r=r: _symmetrizer_squares(r)) for r in (4, 5)},
+    "idempotent-squares-u3": lambda tmp: _idempotent_squares(3),
     "canonical-elements": lambda tmp: _canonical_elements(),
     "solve-right-factor": lambda tmp: _solves(),
 }
@@ -230,6 +250,8 @@ GOLDEN = {
     "derivative-idempotent-u0": "be738558849d6b3c393e1b3291b96b304d211122b8541b06f64183cebee9f509",
     "derivative-idempotent-u1": "4ab7557f33b45594649c700bfd00cc20bb82c1c9c02315526fb06fd82a4532f2",
     "derivative-idempotent-u2": "fe16fcfc8613e52190e75f2ac6b80e22010883de68911bdb366839452f7327d3",
+    "derivative-idempotent-u3": "a257602ff950c50b9b5e0e3ff49bef2b64864e4ae5d21873bbc6e04fc87c9b42",
+    "idempotent-squares-u3": "2b05ba6a374589b2a6a7feba6a8a0cc36b68421fdf5e67bb022f1a0a38dfd701",
     "cli-check-curvature": "ce2ec6bea9efd0cb4f5457d78517434a196fbb98739372e807174d300016960d",
     "cli-check-curvature-fail": "0193412d7cc990c654d18857ebdcd8d83feab2eaf487ce79a9298d4d7de1d364",
     "cli-check-curvature-fail-json": "6dc29978d3818b38bf54dd9c262ebd3d73a791efb942a4fc42a0643ac2069aca",
@@ -288,6 +310,8 @@ GOLDEN = {
     "solve-right-factor": "ee3bc109605448c454917db3def2904ab2de6d471ffb6736a6050f724007fbb9",
     "spectrum-clifford-r4": "8205870a103c2c8b09876eb6285cd244b28c650387d309961ca518e740dd9abf",
     "spectrum-clifford-split": "6ffc54950534ea0b8810b14d183ea91a7853482f890d2ab1f0a675cb02b2b226",
+    "symmetrizer-squares-r4": "cf2c941db7ef26831eaff5afe70a8788c4660536f3017b5e7ac30842f028498b",
+    "symmetrizer-squares-r5": "8d487b06c858d76eeff65e5e5db1c3ddf01d21ec1d2e2ed4a245a95140b8d7f4",
     "young-symmetrizers-r4": "52cbac5f4db8ae7afee4763ee57042f6aafc2f9f738f899667f06e36a79c7dad",
     "young-symmetrizers-r5": "b79e80bf55703c553dd1d1a5d96dbe0b0c48c867796538cdd8e602ec6477ab39",
 }

@@ -11,12 +11,14 @@ from symcurv import (
     GroupRingElement,
     Permutation,
     canonical_elements,
+    derivative_idempotent,
     enumerate_group,
     perm_compose,
     ring_product,
     solve_right_factor,
     star,
 )
+from symcurv.symgroup import _block_product, _value_blocks
 from symcurv.young import (
     curvature_tableau,
     partitions_of,
@@ -24,7 +26,7 @@ from symcurv.young import (
     young_symmetrizer,
 )
 
-from helpers import rand_ring_element
+from helpers import isolated, rand_ring_element
 
 
 # ---------------------------------------------------------------- permutations
@@ -231,36 +233,185 @@ _mixed_coeffs = st.builds(Fraction,
                           st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35]))
 
 
+def _block_sum(degree, values, sign):
+    """The sum of the permutations of ``values``, each times its sign when
+    ``sign`` is -1: left multiplication by it gives any element the block
+    symmetry ``(values, sign)``."""
+    terms = []
+    for arrangement in itertools.permutations(values):
+        images = list(range(1, degree + 1))
+        for v, w in zip(sorted(values), arrangement):
+            images[v - 1] = w
+        p = Permutation(images)
+        terms.append((p, p.sign() if sign < 0 else 1))
+    return GroupRingElement(degree, terms)
+
+
+def _block_route(a, b):
+    """``a * b`` through the block-symmetric kernel whatever the operand
+    sizes, with the blocks it found on ``a``; the product is ``None`` when
+    it found none."""
+    blocks = _value_blocks(a._ints, a.degree) if a else []
+    if not blocks:
+        return None, blocks
+    ints = _block_product(a._ints, b._ints.items(), blocks)
+    return GroupRingElement._unchecked(a.degree, ints, a._den * b._den), blocks
+
+
 @st.composite
 def _factor_pairs(draw):
-    """Two elements of one degree in 1..5; in some draws (flagged) they are
+    """Two elements of one degree in 1..5.  In some draws (flagged) they are
     ``x * (1 + t)`` and ``(1 - t) * y`` for a transposition ``t``, whose
-    product cancels to 0."""
+    product cancels to 0; in others (flagged) the left one is ``B * x``
+    for a block sum ``B`` of sign 1 or -1 (see ``_block_sum``)."""
     degree = draw(st.integers(min_value=1, max_value=5))
     term = st.tuples(st.permutations(list(range(1, degree + 1))), _mixed_coeffs)
     element = st.builds(GroupRingElement, st.just(degree),
                         st.lists(term, min_size=0, max_size=8))
     a, b = draw(element), draw(element)
-    cancels = degree > 1 and draw(st.booleans())
-    if cancels:
+    kind = draw(st.sampled_from(["plain", "cancels", "planted"])) if degree > 1 else "plain"
+    if kind == "cancels":
         i, j = draw(st.lists(st.integers(1, degree), min_size=2, max_size=2,
                              unique=True))
         t = Permutation.from_cycles(degree, (i, j))
         one = Permutation.identity(degree)
         a = _reference_product(a, GroupRingElement(degree, [(one, 1), (t, 1)]))
         b = _reference_product(GroupRingElement(degree, [(one, 1), (t, -1)]), b)
-    return a, b, cancels
+    elif kind == "planted":
+        values = draw(st.lists(st.integers(1, degree), min_size=2,
+                               max_size=min(degree, 3), unique=True))
+        a = _reference_product(_block_sum(degree, values, draw(st.sampled_from([1, -1]))), a)
+    return a, b, kind
 
 
 @settings(max_examples=150, deadline=None)
 @given(_factor_pairs())
 def test_product_matches_reference_convolution(case):
-    a, b, cancels = case
+    a, b, kind = case
     product = a * b
-    assert product == _reference_product(a, b)
-    assert product.is_zero or not cancels
+    reference = _reference_product(a, b)
+    assert product == reference
+    assert product.is_zero or kind != "cancels"
     assert all(c != 0 for _, c in product.items())
     assert star(product) == star(b) * star(a)
+    factored, _ = _block_route(a, b)
+    assert factored is None or factored == reference
+    assert factored is not None or kind != "planted" or a.is_zero
+
+
+# ---------------------------------------------- block-symmetric left factors
+
+def _tableau_symmetrizers(r):
+    return [young_symmetrizer(t) for shape in partitions_of(r) for t in standard_tableaux(shape)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_block_route_matches_reference_on_every_symmetrizer(r):
+    """``y*y``, ``y* * y*``, ``y * y*`` and ``y* * y``.  From degree 2 on
+    every left factor has blocks (the rows of ``y`` give it blocks of sign 1,
+    the columns of ``y*`` blocks of sign -1, and a tableau of one row or one
+    column gives both a block), so the kernel runs on every product."""
+    for y in _tableau_symmetrizers(r):
+        for a, b in ((y, y), (star(y), star(y)), (y, star(y)), (star(y), y)):
+            reference = _reference_product(a, b)
+            factored, blocks = _block_route(a, b)
+            assert a * b == reference
+            assert factored == reference or (r == 1 and factored is None)
+            assert bool(blocks) == (r > 1)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2])
+def test_block_route_matches_reference_on_idempotents(u):
+    e = derivative_idempotent(u)
+    for a in (e, star(e)):
+        factored, blocks = _block_route(a, a)
+        assert a * a == factored == _reference_product(a, a) == a
+        assert blocks
+
+
+def test_star_of_degree_7_idempotent_is_idempotent():
+    """``star(e)`` has the columns (1 2), (3 4) as blocks of sign -1."""
+    e = star(derivative_idempotent(3))
+    assert ([1, 2], -1) in _value_blocks(e._ints, 7)
+    assert e * e == e
+
+
+def _idempotent_square_is_itself(u):
+    e = derivative_idempotent(u)
+    return e * e == e
+
+
+def test_degree_8_idempotent_is_idempotent():
+    """5760 terms, the degree cap: the block route squares it in well under
+    a second, where forming all 5760**2 term pairs took about 20 s."""
+    assert isolated(_idempotent_square_is_itself, [(4,)], timeout=60) == [True]
+
+
+def _planted(rng, degree, numerator_bits=4):
+    """``B_plus * B_minus * z`` for a random ``z`` of five terms and two
+    disjoint random blocks, one of each sign; and the two blocks."""
+    values = rng.sample(range(1, degree + 1), 4)
+    plus, minus = sorted(values[:2]), sorted(values[2:])
+    z = GroupRingElement(degree, [
+        (Permutation(rng.sample(range(1, degree + 1), degree)),
+         Fraction(rng.randint(1, 2 ** numerator_bits) * rng.choice((-1, 1)), rng.randint(1, 9)))
+        for _ in range(5)])
+    a = _reference_product(_reference_product(_block_sum(degree, plus, 1),
+                                              _block_sum(degree, minus, -1)), z)
+    return a, plus, minus
+
+
+def _contains(blocks, values, sign):
+    return any(set(values) <= set(found) and s == sign for found, s in blocks)
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_block_route_finds_planted_blocks_of_both_signs(degree):
+    rng = random.Random(degree)
+    for _ in range(4):
+        a, plus, minus = _planted(rng, degree)
+        b = rand_ring_element(rng, degree, terms=degree ** 2 + 5)
+        reference = _reference_product(a, b)
+        factored, blocks = _block_route(a, b)
+        assert _contains(blocks, plus, 1) and _contains(blocks, minus, -1)
+        assert factored == reference
+        assert a * b == reference
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_block_route_rejects_a_near_miss(degree):
+    """One coefficient changed breaks the symmetry of every planted block:
+    each transposition moves the changed term onto an unchanged one."""
+    rng = random.Random(10 + degree)
+    for _ in range(4):
+        a, plus, minus = _planted(rng, degree)
+        p, c = a.items()[rng.randrange(len(a))]
+        near = a + GroupRingElement.from_permutation(p, c / 3)
+        b = rand_ring_element(rng, degree, terms=degree ** 2 + 5)
+        factored, blocks = _block_route(near, b)
+        for values in (plus, minus):
+            assert not any(set(values) <= set(found) for found, _ in blocks)
+        assert factored is None or factored == _reference_product(near, b)
+        assert near * b == _reference_product(near, b)
+
+
+def test_block_route_on_wide_numerators_small_degrees_and_zero():
+    rng = random.Random(200)
+    a, plus, minus = _planted(rng, 5, numerator_bits=200)
+    assert max(abs(c.numerator) for _, c in a.items()).bit_length() >= 200
+    b = rand_ring_element(rng, 5, terms=30)
+    assert _block_route(a, b)[0] == a * b == _reference_product(a, b)
+    zero = GroupRingElement.zero(5)
+    assert _block_route(a, zero)[0] == a * zero == zero
+    assert zero * a == zero and _block_route(zero, a) == (None, [])
+    one = GroupRingElement.one(1)
+    assert _block_route(one.scale(3), one) == (None, [])
+    for sign in (1, -1):
+        pair = _block_sum(2, [1, 2], sign).scale(Fraction(2 ** 200 + 1, 3))
+        b = rand_ring_element(rng, 2, terms=2)
+        factored, blocks = _block_route(pair, b)
+        assert blocks == [([1, 2], sign)]
+        assert factored == pair * b == _reference_product(pair, b)
 
 
 # ----------------------------------------------------------------- linear solve
