@@ -294,7 +294,7 @@ def _block_product(left: Mapping[tuple[int, ...], int],
         # the v that permute the blocks of sign -1
         get = sums.get
         padded = [((0,) + v, sign) for v, sign in odd_group]
-        folded = {}
+        folded: dict[tuple[int, ...], int] = {}
         for word in words(sums):
             compose = _right_composer(spelled(word, odd))
             folded[word] = sum([sign * get(compose(v), 0) for v, sign in padded])
