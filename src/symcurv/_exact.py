@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection
+from typing import Collection, Union
 
 #: Largest decimal exponent ``exact`` parses, in absolute value: the
 #: interpreter's default limit on the digits of an integer string, so
@@ -31,8 +31,11 @@ from typing import Collection
 #: 300-million-digit power of ten is built.
 EXPONENT_CAP = 4300
 
+#: What :func:`exact` accepts: the package's one type for a rational input.
+Scalar = Union[int, str, Fraction]
 
-def exact(value) -> Fraction:
+
+def exact(value: Scalar) -> Fraction:
     """Coerce ``value`` (int, Fraction, or a string such as ``"p/q"`` or
     ``"-2.5e-3"``) to a Fraction.
 

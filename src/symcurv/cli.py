@@ -25,7 +25,6 @@ from .curvature import (
     NotACurvatureTensor,
     TableLine,
     alpha,
-    canonical_elements,
     check_curvature,
     decompose_mixed,
     decompose_pure,
@@ -68,26 +67,22 @@ def _load_json(path: str):
         raise _InputError(f"{path}: unreadable JSON: {err}")
 
 
-def _load_tensor(path: str, expect_order: int | None = None) -> DenseTensor:
+def _load(path: str, parse, what: str):
+    """``parse`` of the JSON in ``path``; a payload it refuses is an
+    invalid ``what``."""
     payload = _load_json(path)
     try:
-        tensor = DenseTensor.from_json_dict(payload)
+        return parse(payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-        raise _InputError(f"{path}: invalid tensor JSON: {err}")
-    if expect_order is not None and tensor.order != expect_order:
-        raise _InputError(
-            f"{path}: expected an order-{expect_order} tensor, got order "
-            f"{tensor.order}"
-        )
+        raise _InputError(f"{path}: invalid {what} JSON: {err}")
+
+
+def _load_tensor(path: str) -> DenseTensor:
+    """The order-4 tensor in ``path``."""
+    tensor = _load(path, DenseTensor.from_json_dict, "tensor")
+    if tensor.order != 4:
+        raise _InputError(f"{path}: expected an order-4 tensor, got order {tensor.order}")
     return tensor
-
-
-def _load_metric(path: str) -> Metric:
-    payload = _load_json(path)
-    try:
-        return Metric.from_json_dict(payload)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-        raise _InputError(f"{path}: invalid metric JSON: {err}")
 
 
 def _require_signature(p: int, q: int) -> None:
@@ -158,7 +153,7 @@ def cmd_identities(args) -> Report:
 
 
 def cmd_check_curvature(args) -> Report:
-    tensor = _load_tensor(args.path, expect_order=4)
+    tensor = _load_tensor(args.path)
     result = check_curvature(tensor)
     direct = "PASS" if result.direct_ok else f"FAIL ({result.first_violation})"
     text = [f"direct symmetries + Bianchi: {direct}",
@@ -172,7 +167,7 @@ def cmd_check_curvature(args) -> Report:
 def cmd_decompose(args) -> Report:
     """The decomposition JSON has no text form: the text lines are ``None``
     unless ``--out`` took the JSON, and then they name the file."""
-    tensor = _load_tensor(args.path, expect_order=4)
+    tensor = _load_tensor(args.path)
     if args.mode == "mixed":
         decomposition = decompose_mixed(tensor)
     else:
@@ -243,8 +238,8 @@ def _nilpotency_report(args, kind, p, q, fields, title=None) -> Report:
 
 
 def cmd_osserman_spectrum(args) -> Report:
-    tensor = _load_tensor(args.tensor, expect_order=4)
-    metric = _load_metric(args.metric)
+    tensor = _load_tensor(args.tensor)
+    metric = _load(args.metric, Metric.from_json_dict, "metric")
     if tensor.dim != metric.dim:
         raise _InputError(
             f"tensor dimension {tensor.dim} does not match metric dimension "

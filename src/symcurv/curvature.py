@@ -15,9 +15,12 @@ are in their docstrings):
 * ``alpha(A) = (1/3)(2 id + [1,3,2,4] - [1,4,2,3]) (A (x) A)``, A skew,
 
 and every algebraic curvature tensor is a signed rational combination of
-gammas and alphas.  The direct membership test applies elements too: the
-annihilators ``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]``
-and the Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  ``decompose_pure`` (and
+gammas and alphas.  One routine, ``_quadratic_sum``, builds every such
+combination: ``gamma`` and ``alpha`` are its one-term cases, and
+``CurvatureDecomposition.reconstruct`` and the Osserman families call it
+too.  The direct membership test applies elements too: the annihilators
+``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]`` and the
+Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  ``decompose_pure`` (and
 ``decompose_mixed``, its alpha-only alias) polarizes the n(n+-1)/2 index
 pairs k <= l once each and checks the reconstruction exactly before returning.
 """
@@ -31,14 +34,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
-from ._exact import exact, json_int, numerators
+from ._exact import Scalar, exact, json_int, numerators
 from .symgroup import GroupRingElement, solve_right_factor
-from .tensor_ops import (
-    DenseTensor,
-    Scalar,
-    apply_symmetry_operator,
-    tensor_product,
-)
+from .tensor_ops import DenseTensor, apply_symmetry_operator
 from .young import curvature_tableau, young_symmetrizer
 
 
@@ -105,8 +103,9 @@ def canonical_elements() -> CanonicalElements:
     swap_proj = swap_sym.scale(Fraction(1, 2))
     pair_sym = _ring((_ID, 1), (_T12, 1)) * _ring((_ID, 1), (_T34, 1))
     pair_skew = _ring((_ID, 1), (_T12, -1)) * _ring((_ID, 1), (_T34, -1))
-    gamma_gen = ystar * swap_sym * pair_sym
-    alpha_gen = ystar * swap_sym * pair_skew
+    swapped = ystar * swap_sym
+    gamma_gen = swapped * pair_sym
+    alpha_gen = swapped * pair_skew
 
     if gamma_gen.is_zero or alpha_gen.is_zero:
         raise RuntimeError("generator construction collapsed to zero")
@@ -149,15 +148,13 @@ def _require_skew(a: DenseTensor) -> None:
 def gamma(s: DenseTensor) -> DenseTensor:
     """Curvature tensor of a symmetric matrix:
     ``gamma(S)[i,j,k,l] = (S[i,l]S[j,k] - S[i,k]S[j,l]) / 3``."""
-    _require_symmetric(s)
-    return apply_symmetry_operator(_GAMMA, tensor_product(s, s))
+    return _quadratic_sum(s.dim, [(1, s)], ())
 
 
 def alpha(a: DenseTensor) -> DenseTensor:
     """Curvature tensor of a skew matrix:
     ``alpha(A)[i,j,k,l] = (2A[i,j]A[k,l] + A[i,k]A[j,l] - A[i,l]A[j,k]) / 3``."""
-    _require_skew(a)
-    return apply_symmetry_operator(_ALPHA, tensor_product(a, a))
+    return _quadratic_sum(a.dim, (), [(1, a)])
 
 
 def bianchi_defect(tensor: DenseTensor) -> DenseTensor:
@@ -179,8 +176,9 @@ def _quadratic_sum(dim: int,
     runs on the stored numerators of the matrices, with each weight
     ``c / den**2`` brought over one common denominator, one dot product per
     pair of nonzero flat positions (the square is symmetric in its two
-    pairs).  Every matrix is validated as :func:`gamma` and :func:`alpha`
-    validate it.
+    pairs).  Every gamma matrix must be symmetric and every alpha matrix
+    skew, each of order 2 and dimension ``dim``; zero weights are skipped
+    after that check.
     """
     parts = []
     for element, require, terms in ((_GAMMA, _require_symmetric, gamma_terms),

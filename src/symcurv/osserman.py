@@ -20,18 +20,19 @@ from fractions import Fraction
 from itertools import count, dropwhile, islice, product, zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul, not_
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-from ._exact import exact, json_int, numerators, row_reduce
+from ._exact import Scalar, exact, json_int, numerators, row_reduce
 from .curvature import (
     NotACurvatureTensor,
     _quadratic_sum,
+    _require_skew,
+    _require_symmetric,
     gamma,
     is_algebraic_curvature,
 )
 from .tensor_ops import DenseTensor, _check_shape, _contract_middle
 
-Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
 
 
@@ -68,6 +69,11 @@ def check_signature(p: int, q: int) -> None:
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError(f"bad signature ({p},{q})")
     _check_shape(4, p + q)
+
+
+def _standard_rows(p: int, q: int) -> list[list[int]]:
+    """The rows of diag(+1 x p, -1 x q)."""
+    return [[(1 if i < p else -1) * (i == j) for j in range(p + q)] for i in range(p + q)]
 
 
 class Metric:
@@ -111,9 +117,7 @@ class Metric:
     def standard(cls, p: int, q: int) -> "Metric":
         """diag(+1 x p, -1 x q), after :func:`check_signature`."""
         check_signature(p, q)
-        diag = [1] * p + [-1] * q
-        n = p + q
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(_standard_rows(p, q))
 
     @property
     def dim(self) -> int:
@@ -133,21 +137,13 @@ class Metric:
 
     @property
     def is_standard_form(self) -> bool:
-        p, _ = self._signature
-        rows = self._matrix.rows
-        n = self.dim
-        return all(
-            rows[i][j] == (0 if i != j else (1 if i < p else -1))
-            for i in range(n) for j in range(n)
-        )
+        return self._matrix._int_rows() == (_standard_rows(*self._signature), 1)
 
     def inner(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
-        xv = tuple(exact(v) for v in x)
-        yv = tuple(exact(v) for v in y)
-        n = self.dim
-        if len(xv) != n or len(yv) != n:
-            raise ValueError(f"vectors must have dimension {n}")
-        return sum(xv[i] * v * yv[j] for (i, j), v in self._matrix.nonzero_items())
+        xv, yv = [exact(v) for v in x], [exact(v) for v in y]
+        if len(xv) != self.dim or len(yv) != self.dim:
+            raise ValueError(f"vectors must have dimension {self.dim}")
+        return sum(map(mul, xv, self._matrix(yv)))
 
     def tensor(self) -> DenseTensor:
         """The metric as an order-2 tensor (symmetric, so gamma applies)."""
@@ -190,7 +186,11 @@ class Metric:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Metric":
+        """Inverse of :meth:`to_json_dict`: either ``matrix`` or ``p`` and
+        ``q``; a payload with both is refused rather than read one way."""
         if "matrix" in payload:
+            if "p" in payload or "q" in payload:
+                raise ValueError("a metric has either 'matrix' or 'p' and 'q', not both")
             rows = payload["matrix"]
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise TypeError(f"'matrix' must be a list of lists, got {rows!r}")
@@ -219,36 +219,34 @@ def jacobi_operator(tensor: DenseTensor, g: Metric,
     return g._inverse @ _contract_middle(tensor, xv)
 
 
-def _outer(u: Vector, w: Vector) -> LinearMap:
-    us, du = numerators(u)
-    ws, dw = numerators(w)
-    return LinearMap._unchecked(2, len(u), [a * b for a in us for b in ws], du * dw)
+def _closed_form_parts(m: DenseTensor, g: Metric, x: Sequence[Scalar]
+                       ) -> tuple[LinearMap, Fraction, LinearMap]:
+    """``C = raise_form(M)``, ``g(Cx, x)`` and the map ``y -> g(Cy, x) C x``,
+    the outer product of ``u = Cx`` with the ``w`` for which
+    ``w . y == g(Cy, x)``."""
+    c = g.raise_form(m)
+    xv = [exact(v) for v in x]
+    u = c(xv)
+    (us, du), (ws, dw) = numerators(u), numerators(c.transpose()(g._matrix(xv)))
+    outer = LinearMap._unchecked(2, len(us), [a * b for a in us for b in ws], du * dw)
+    return c, g.inner(u, xv), outer
 
 
 def jacobi_gamma_closed(s: DenseTensor, g: Metric,
                         x: Sequence[Scalar]) -> LinearMap:
     """Closed form for the Jacobi operator of ``gamma(S)``:
     ``J y = (g(Cx,x) C y - g(Cy,x) C x) / 3`` with ``C = raise_form(S)``."""
-    if s != s.transpose():
-        raise ValueError("symmetric matrix required")
-    c = g.raise_form(s)
-    xv = tuple(exact(v) for v in x)
-    u = c(xv)
-    w = c.transpose()(g._matrix(xv))  # w . y == g(Cy, x)
-    return (c.scale(g.inner(u, xv)) - _outer(u, w)).scale(Fraction(1, 3))
+    _require_symmetric(s)
+    c, cxx, outer = _closed_form_parts(s, g, x)
+    return (c.scale(cxx) - outer).scale(Fraction(1, 3))
 
 
 def jacobi_alpha_closed(a: DenseTensor, g: Metric,
                         x: Sequence[Scalar]) -> LinearMap:
     """Closed form for the Jacobi operator of ``alpha(A)``:
     ``J y = g(Cy,x) C x`` with ``C = raise_form(A)``."""
-    if a != -a.transpose():
-        raise ValueError("skew matrix required")
-    c = g.raise_form(a)
-    xv = tuple(exact(v) for v in x)
-    u = c(xv)
-    w = c.transpose()(g._matrix(xv))
-    return _outer(u, w)
+    _require_skew(a)
+    return _closed_form_parts(a, g, x)[2]
 
 
 def char_poly(mapping: LinearMap) -> tuple[Fraction, ...]:

@@ -36,14 +36,12 @@ from math import lcm
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Union
 
-from ._exact import exact, json_int, numerators, reduced, row_reduce, strict_int
+from ._exact import Scalar, exact, json_int, numerators, reduced, row_reduce, strict_int
 
 #: Default bound on the group degree.  Supports grow like r!, so anything
 #: past 8 (40320 permutations) stops being desk-scale; callers who really
 #: want more pass ``cap=`` explicitly.
 DEGREE_CAP = 8
-
-Coefficient = Union[int, str, Fraction]
 
 
 def _check_cap(r: int, cap: int) -> None:
@@ -324,8 +322,8 @@ class GroupRingElement:
     def __init__(
         self,
         degree: int,
-        terms: Union[Mapping[Permutation, Coefficient],
-                     Iterable[tuple[Permutation, Coefficient]]] = (),
+        terms: Union[Mapping[Permutation, Scalar],
+                     Iterable[tuple[Permutation, Scalar]]] = (),
     ):
         self._degree = strict_int(degree, "degree")
         if self._degree < 1:
@@ -370,7 +368,7 @@ class GroupRingElement:
 
     @classmethod
     def from_permutation(cls, perm: Permutation,
-                         coeff: Coefficient = 1) -> "GroupRingElement":
+                         coeff: Scalar = 1) -> "GroupRingElement":
         return cls(perm.degree, {perm: coeff})
 
     @property
@@ -423,7 +421,7 @@ class GroupRingElement:
         return GroupRingElement._unchecked(
             self._degree, {images: -n for images, n in self._ints.items()}, self._den)
 
-    def scale(self, scalar: Coefficient) -> "GroupRingElement":
+    def scale(self, scalar: Scalar) -> "GroupRingElement":
         num, den = exact(scalar).as_integer_ratio()
         return GroupRingElement._unchecked(
             self._degree, {images: num * n for images, n in self._ints.items()},
@@ -447,10 +445,7 @@ class GroupRingElement:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other) -> "GroupRingElement":
-        if isinstance(other, (int, str, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def star(self) -> "GroupRingElement":
         """The involution sending each permutation to its inverse."""
@@ -536,7 +531,6 @@ def solve_right_factor(
     if a.degree != c.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {c.degree}")
     r = a.degree
-    _check_cap(r, cap)
     group = enumerate_group(r, cap)
     n = len(group)
     index = {p.images: k for k, p in enumerate(group)}

@@ -19,8 +19,12 @@ read (``[]``, ``nonzero_items``, ``rows``, ``to_nested``, ``trace``,
 ``transpose`` and ``apply_symmetry_operator``, the one action: ``gamma``,
 ``alpha`` and every symmetry test in the package go through it, and it reads
 the group-ring element's stored numerators with no sort and no conversion.
-``curvature._quadratic_sum`` builds ``sum c vec(M) vec(M)^T`` in this
-layout, and ``_contract_middle`` is the Jacobi contraction ``T(a, x, x, d)``.
+``_contract_middle`` is the Jacobi contraction ``T(a, x, x, d)``.
+
+Four functions outside this module also read or write the flat numerators:
+``curvature._quadratic_sum`` (``sum c vec(M) vec(M)^T``), ``_merge_terms``
+(sign and order of matrices), ``_decomposition`` (the slices ``T[.,.,k,l]``)
+and ``osserman.Metric.__init__`` (the inverse).
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
 action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
@@ -35,12 +39,10 @@ from fractions import Fraction
 from itertools import product as _product
 from math import lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._exact import exact, json_int, numerators, reduced, strict_int
+from ._exact import Scalar, exact, json_int, numerators, reduced, strict_int
 from .symgroup import GroupRingElement, enumerate_group
-
-Scalar = Union[int, str, Fraction]
 
 
 #: Bound on the number of entries ``dim ** order`` of a tensor.  Every entry

@@ -272,7 +272,7 @@ def derivative_idempotent(u: int, cap: int = DEGREE_CAP) -> GroupRingElement:
     if u < 0:
         raise ValueError(f"derivative order must be >= 0, got {u}")
     r = u + 4
-    _check_cap(r, cap)
+    _check_cap(r, cap)  # young_symmetrizer checks too, but only after the tableau is built
     first = (1, 3) + tuple(range(5, r + 1))
     tableau = YoungTableau([first, (2, 4)])
     scale = Fraction(u + 1, 2 * factorial(u + 3))

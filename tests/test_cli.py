@@ -189,6 +189,22 @@ def test_metric_matrix_of_strings_is_an_input_error(tmp_path, capsys):
     assert "invalid metric JSON" in err[0]
 
 
+@pytest.mark.parametrize("extra", [{"p": 1}, {"q": 0}, {"p": 2, "q": 0}])
+def test_metric_with_matrix_and_signature_is_an_input_error(extra, tmp_path, capsys):
+    # "matrix" used to win and "p"/"q" were ignored, even where they disagree
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text('{"order": 4, "dim": 2, "entries": []}')
+    metric_path.write_text(json.dumps({"matrix": [["1", "0"], ["0", "1"]], **extra}))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "invalid metric JSON" in err[0] and "not both" in err[0]
+
+
 @pytest.mark.parametrize("mode", ["mixed", "gamma", "alpha"])
 def test_decompose_round_trips(curvature_file, tmp_path, capsys, mode):
     path, t = curvature_file

@@ -73,6 +73,18 @@ def test_custom_metric_signature_and_inverse():
     product = [[sum(g.rows[i][k] * inv[k][j] for k in range(2))
                 for j in range(2)] for i in range(2)]
     assert product == [[1, 0], [0, 1]]
+    rng = random.Random(64)
+    for _ in range(5):
+        x, y = rand_vector(rng, 2), rand_vector(rng, 2)
+        assert g.inner(x, y) == sum(x[i] * g.rows[i][j] * y[j]
+                                    for i in range(2) for j in range(2))
+    assert g.inner(["1/2", 1], [3, "-2/3"]) == Fraction(23, 3)  # 3 - 1/3 + 3 + 2
+    with pytest.raises(ValueError, match="dimension 2"):
+        g.inner([1, 2, 3], [1, 2])
+    # the right signature, or the right shape, is not enough
+    assert Metric([[1, 0], [0, -1]]).is_standard_form
+    assert not Metric([[-1, 0], [0, 1]]).is_standard_form
+    assert not Metric([[2, 0], [0, 2]]).is_standard_form
 
 
 def _sympy_rows(sympy, rows):
@@ -323,6 +335,14 @@ def test_closed_form_trivial_inputs():
     g = Metric.standard(3, 0)
     assert jacobi_gamma_closed(DenseTensor.zeros(2, 3), g, [1, 2, 3]).is_zero
     assert jacobi_alpha_closed(DenseTensor.zeros(2, 3), g, [1, 2, 3]).is_zero
+    s = _mat([[1, 2, 0], [2, 0, 1], [0, 1, 3]])
+    a = _mat([[0, 1, 0], [-1, 0, 2], [0, -2, 0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_gamma_closed(a, g, [1, 2, 3])
+    with pytest.raises(ValueError, match="not skew"):
+        jacobi_alpha_closed(s, g, [1, 2, 3])
+    with pytest.raises(ValueError, match="order 2"):
+        jacobi_gamma_closed(DenseTensor.zeros(4, 3), g, [1, 2, 3])
 
 
 def test_gamma_closed_form_on_nilpotent_block():

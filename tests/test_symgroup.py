@@ -130,7 +130,11 @@ _ID_MINUS_T, _ID_PLUS_T = (GroupRingElement(3, {Permutation([1, 2, 3]): 1, _T12:
     (_RATIONAL - _RATIONAL + _INTEGER, _INTEGER),
     (0 * _INTEGER, GroupRingElement.zero(3)),
     (_ID_MINUS_T * _ID_PLUS_T, GroupRingElement.zero(3)),
-], ids=["scale-back", "add-sub", "cancel-rational", "zero-scalar", "cancelling-product"])
+    (2 * _RATIONAL, _RATIONAL.scale(2)),
+    (Fraction(1, 2) * _INTEGER, _INTEGER.scale(Fraction(1, 2))),
+    ("1/2" * _INTEGER, _INTEGER.scale("1/2")),
+], ids=["scale-back", "add-sub", "cancel-rational", "zero-scalar", "cancelling-product",
+        "int-times", "fraction-times", "string-times"])
 def test_cancelled_denominators_give_the_integer_element(result, expected):
     # storage is in lowest terms, so equal values mean equal storage
     assert result == expected
@@ -393,6 +397,26 @@ def test_block_route_rejects_a_near_miss(degree):
             assert not any(set(values) <= set(found) for found, _ in blocks)
         assert factored is None or factored == _reference_product(near, b)
         assert near * b == _reference_product(near, b)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_block_route_with_a_lone_transposition(sign):
+    """``(1 + sign*(1 2)) * z``, z of 60 random terms on S6: one block of two
+    values (|H| = 2) and many cosets, times a 40-term right factor."""
+    rng = random.Random(300 + sign)
+
+    def terms(count):
+        return GroupRingElement(6, [
+            (p, Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)))
+            for p in rng.sample(enumerate_group(6), count)])
+
+    a = _reference_product(_block_sum(6, [1, 2], sign), terms(60))
+    b = terms(40)  # more than 6**2 terms, so ``a * b`` takes the block route too
+    reference = _reference_product(a, b)
+    factored, blocks = _block_route(a, b)
+    assert ([1, 2], sign) in blocks
+    assert factored == reference
+    assert a * b == reference
 
 
 def test_block_route_on_wide_numerators_small_degrees_and_zero():
