@@ -20,7 +20,11 @@ combination: ``gamma`` and ``alpha`` are its one-term cases, and
 ``CurvatureDecomposition.reconstruct`` and the Osserman families call it
 too.  The direct membership test applies elements too: the annihilators
 ``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]`` and the
-Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  ``decompose_pure`` (and
+Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The symmetrizer test applies
+``ystar`` as its four two-term factors, right to left,
+``(id - [2,1,3,4])(id - [1,2,4,3])(id + [3,2,1,4])(id + [1,4,3,2])``
+(the signed column sum, then the row sum, of the tableau), whose product
+``canonical_elements`` checks once.  ``decompose_pure`` (and
 ``decompose_mixed``, its alpha-only alias) polarizes the n(n+-1)/2 index
 pairs k <= l once each and checks the reconstruction exactly before returning.
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
@@ -92,6 +96,15 @@ _DIRECT_CONDITIONS = (
     ("antisymmetry in the second index pair", _ring((_ID, 1), (_T34, 1))),
     ("pair-exchange symmetry", _ring((_ID, 1), (_SWAP, -1))),
 )
+#: ``symmetrizer_star == V H`` as its two-term factors, leftmost first: the
+#: signed column sum ``V`` and the row sum ``H`` of the tableau
+#: ``[[1,3],[2,4]]``.  ``canonical_elements`` checks the product once.
+_SYMMETRIZER_FACTORS = (
+    _ring((_ID, 1), (_T12, -1)),
+    _ring((_ID, 1), (_T34, -1)),
+    _ring((_ID, 1), ([3, 2, 1, 4], 1)),
+    _ring((_ID, 1), ([1, 4, 3, 2], 1)),
+)
 
 
 @lru_cache(maxsize=1)
@@ -111,6 +124,9 @@ def canonical_elements() -> CanonicalElements:
         raise RuntimeError("generator construction collapsed to zero")
     if swap_proj * swap_proj != swap_proj:
         raise RuntimeError("pair-exchange projector is not idempotent")
+    if reduce(mul, _SYMMETRIZER_FACTORS) != ystar:
+        raise RuntimeError("the two-term factors do not multiply to the "
+                           "starred symmetrizer")
     preimage = solve_right_factor(gamma_gen, ystar)
     if preimage is None or gamma_gen * preimage != ystar:
         raise RuntimeError("no right factor maps the gamma generator onto "
@@ -234,7 +250,12 @@ class CurvatureCheck:
 
 
 def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
-    """Run the direct symmetry test and the symmetrizer test side by side."""
+    """Run the direct symmetry test and the symmetrizer test side by side.
+
+    The symmetrizer test ``ystar T == 12 T`` applies the four two-term
+    factors of ``ystar`` one after another, eight term actions in all;
+    ``canonical_elements`` checks once that they multiply to ``ystar``.
+    """
     if tensor.order != 4:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
     first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
@@ -243,8 +264,11 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
     if first_violation is None and bianchi_nonzero:
         first_violation = "first Bianchi identity"
     direct_ok = first_violation is None
-    young_ok = (apply_symmetry_operator(canonical_elements().symmetrizer_star, tensor)
-                == tensor.scale(12))
+    canonical_elements()  # checks the factors once
+    young = tensor
+    for factor in reversed(_SYMMETRIZER_FACTORS):
+        young = apply_symmetry_operator(factor, young)
+    young_ok = young == tensor.scale(12)
     return CurvatureCheck(direct_ok, young_ok, first_violation, bianchi_nonzero)
 
 

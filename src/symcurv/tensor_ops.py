@@ -19,6 +19,9 @@ read (``[]``, ``nonzero_items``, ``rows``, ``to_nested``, ``trace``,
 ``transpose`` and ``apply_symmetry_operator``, the one action: ``gamma``,
 ``alpha`` and every symmetry test in the package go through it, and it reads
 the group-ring element's stored numerators with no sort and no conversion.
+The action reads the identity term straight from ``_ints`` and builds one
+gather per other term; ``_gather`` emits the last slot, whose source
+positions lie one stride apart, as C-level ``range`` runs.
 ``_contract_middle`` is the Jacobi contraction ``T(a, x, x, d)``.
 
 Four functions outside this module also read or write the flat numerators:
@@ -36,7 +39,7 @@ operand, while the constructors always build a ``DenseTensor``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _product
+from itertools import chain, repeat, product as _product
 from math import lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -74,12 +77,18 @@ def _position(idx: tuple, order: int, dim: int) -> int | None:
 def _gather(images: Sequence[int], dim: int) -> list[int]:
     """Flat source position of every flat target position, in row-major
     order, for the slot permutation ``images``: target ``(i_1..i_r)`` reads
-    source ``(i_{p(1)}..i_{p(r)})``."""
-    stride = {img: dim ** (len(images) - k) for k, img in enumerate(images, 1)}
+    source ``(i_{p(1)}..i_{p(r)})``.  The last target slot runs along one
+    source stride, so each of its runs is a ``range``."""
+    r = len(images)
+    stride = {img: dim ** (r - k) for k, img in enumerate(images, 1)}
     positions = [0]
-    for slot in sorted(stride):
-        positions = [base + i * stride[slot] for base in positions for i in range(dim)]
-    return positions
+    for slot in range(1, r):
+        step = stride[slot]
+        positions = [base + offset for base in positions
+                     for offset in range(0, dim * step, step)]
+    step = stride[r]
+    return list(chain.from_iterable(map(
+        range, positions, [base + dim * step for base in positions], repeat(step))))
 
 
 class DenseTensor:
@@ -331,9 +340,12 @@ def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTe
         raise ValueError(
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
-    ints, acc = tensor._ints, [0] * len(tensor._ints)
+    ints, identity = tensor._ints, tuple(range(1, tensor.order + 1))
+    c = a._ints.get(identity)
+    acc = [c * v for v in ints] if c else [0] * len(ints)
     for images, c in a._ints.items():
-        acc = [s + c * ints[j] for s, j in zip(acc, _gather(images, tensor.dim))]
+        if images != identity:
+            acc = [s + c * ints[j] for s, j in zip(acc, _gather(images, tensor.dim))]
     return DenseTensor._unchecked(tensor.order, tensor.dim, acc, a._den * tensor._den)
 
 

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symcurv.curvature as curvature_module
+import symcurv.tensor_ops as tensor_ops_module
 from symcurv import (
     CriteriaDisagreement,
     CurvatureCheck,
     CurvatureDecomposition,
     DecompositionTerm,
     DenseTensor,
+    GroupRingElement,
     Metric,
     NotACurvatureTensor,
     alpha,
@@ -273,6 +275,51 @@ def test_canonical_elements_invariants():
     assert e.swap_sym == e.swap_proj.scale(2)
     assert e.gamma_generator * e.gamma_preimage == e.symmetrizer_star
     assert e.symmetrizer_star == e.symmetrizer.star()
+    factors = curvature_module._SYMMETRIZER_FACTORS
+    assert len(factors) == 4 and all(len(f) == 2 for f in factors)
+    assert factors[0] * factors[1] * factors[2] * factors[3] == e.symmetrizer_star
+
+
+def test_wrong_symmetrizer_factor_is_refused(monkeypatch):
+    """A sign flip in one two-term factor is caught by ``canonical_elements``
+    before ``check_curvature`` trusts the factors."""
+    factors = list(curvature_module._SYMMETRIZER_FACTORS)
+    factors[2] = GroupRingElement(4, [([1, 2, 3, 4], 1), ([3, 2, 1, 4], -1)])
+    t = rand_curvature(random.Random(39), 2)
+    canonical_elements.cache_clear()
+    try:
+        monkeypatch.setattr(curvature_module, "_SYMMETRIZER_FACTORS", tuple(factors))
+        with pytest.raises(RuntimeError, match="two-term factors"):
+            canonical_elements()
+        with pytest.raises(RuntimeError, match="two-term factors"):
+            check_curvature(t)
+    finally:
+        canonical_elements.cache_clear()
+
+
+def test_membership_check_gather_count(monkeypatch):
+    """One ``check_curvature`` builds one gather per non-identity term: three
+    for the direct conditions (one on a tensor rejected by the first), two
+    for the Bianchi sum and four for the symmetrizer factors.  Applying the
+    16 terms of ``symmetrizer_star`` one by one would take 25 and 21."""
+    rng = random.Random(1)
+    accepted = rand_curvature(rng, 3)
+    rejected = rand_tensor(rng, 4, 3)
+    canonical_elements()
+    original = tensor_ops_module._gather
+    calls = []
+
+    def counting(images, dim):
+        calls.append(images)
+        return original(images, dim)
+
+    monkeypatch.setattr(tensor_ops_module, "_gather", counting)
+    assert check_curvature(accepted).ok
+    assert len(calls) == 9
+    calls.clear()
+    result = check_curvature(rejected)
+    assert result.first_violation == "antisymmetry in the first index pair"
+    assert len(calls) == 7
 
 
 def test_identity_table_entries():

@@ -193,7 +193,7 @@ def _reference_action(a, t):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_action_matches_entrywise_reference(order, dim):
     rng = random.Random(100 * order + dim)
     group = [Permutation(images) for images in permutations(range(1, order + 1))]
@@ -210,7 +210,14 @@ def test_action_matches_entrywise_reference(order, dim):
         assert len(full) == len(group)
         single = GroupRingElement.from_permutation(rng.choice(group),
                                                    rand_fraction(rng, 1, 3, 5))
-        for a in (full, single):
+        # the identity term alone, and next to one other term
+        identity = Permutation.identity(order)
+        elements = [full, single,
+                    GroupRingElement.from_permutation(identity, Fraction(-5, 3))]
+        if order > 1:
+            elements.append(GroupRingElement(order, [
+                (identity, 1), (rng.choice([p for p in group if p != identity]), -1)]))
+        for a in elements:
             got = apply_symmetry_operator(a, t)
             assert {idx: got[idx] for idx in got.indices()} == _reference_action(a, t)
 
