@@ -260,7 +260,8 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
     first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
                             if apply_symmetry_operator(annihilator, tensor)), None)
-    bianchi_nonzero = sum(1 for _ in bianchi_defect(tensor).nonzero_items())
+    defect = bianchi_defect(tensor)._ints
+    bianchi_nonzero = len(defect) - defect.count(0)
     if first_violation is None and bianchi_nonzero:
         first_violation = "first Bianchi identity"
     direct_ok = first_violation is None

@@ -19,15 +19,19 @@ read (``[]``, ``nonzero_items``, ``rows``, ``to_nested``, ``trace``,
 ``transpose`` and ``apply_symmetry_operator``, the one action: ``gamma``,
 ``alpha`` and every symmetry test in the package go through it, and it reads
 the group-ring element's stored numerators with no sort and no conversion.
-The action reads the identity term straight from ``_ints`` and builds one
-gather per other term; ``_gather`` emits the last slot, whose source
-positions lie one stride apart, as C-level ``range`` runs.
-``_contract_middle`` is the Jacobi contraction ``T(a, x, x, d)``.
+``_reader`` turns a gather into an ``itemgetter`` once per (permutation,
+dimension) and caches it, so ``_gather`` runs only on a cache miss; the
+action reads the identity term straight from ``_ints``, every other term in
+one C call through its reader, and folds each into the sum with ``map``.
+``_gather`` emits the last slot, whose source positions lie one stride
+apart, as C-level ``range`` runs.  ``_contract_middle`` is the Jacobi
+contraction ``T(a, x, x, d)``.
 
-Four functions outside this module also read or write the flat numerators:
+Five functions outside this module also read or write the flat numerators:
 ``curvature._quadratic_sum`` (``sum c vec(M) vec(M)^T``), ``_merge_terms``
-(sign and order of matrices), ``_decomposition`` (the slices ``T[.,.,k,l]``)
-and ``osserman.Metric.__init__`` (the inverse).
+(sign and order of matrices), ``_decomposition`` (the slices ``T[.,.,k,l]``),
+``check_curvature`` (the nonzero count of the Bianchi defect) and
+``osserman.Metric.__init__`` (the inverse).
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
 action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
@@ -39,9 +43,10 @@ operand, while the constructors always build a ``DenseTensor``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat, product as _product
 from math import lcm, prod
-from operator import mul
+from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._exact import Scalar, exact, json_int, numerators, reduced, strict_int
@@ -52,6 +57,12 @@ from .symgroup import GroupRingElement, enumerate_group
 #: is stored, so anything larger is refused before storage is allocated
 #: (orders past ``_ENTRY_CAP.bit_length()`` are refused outright).
 _ENTRY_CAP = 10 ** 6
+
+#: Number of slot-permutation readers ``_reader`` keeps, least recently used
+#: first out.  Membership checks and decompositions at n = 3..6 use 36
+#: (permutation, dimension) keys between them, and repeating a sequence of
+#: more keys than the cache holds would miss on every one.
+_READERS = 64
 
 
 def _check_shape(order: int, dim: int) -> None:
@@ -74,11 +85,11 @@ def _position(idx: tuple, order: int, dim: int) -> int | None:
     return pos if len(idx) == order else None
 
 
-def _gather(images: Sequence[int], dim: int) -> list[int]:
+def _gather(images: Sequence[int], dim: int) -> Iterator[int]:
     """Flat source position of every flat target position, in row-major
     order, for the slot permutation ``images``: target ``(i_1..i_r)`` reads
     source ``(i_{p(1)}..i_{p(r)})``.  The last target slot runs along one
-    source stride, so each of its runs is a ``range``."""
+    source stride, so each of its runs is a ``range``, chained lazily."""
     r = len(images)
     stride = {img: dim ** (r - k) for k, img in enumerate(images, 1)}
     positions = [0]
@@ -87,8 +98,40 @@ def _gather(images: Sequence[int], dim: int) -> list[int]:
         positions = [base + offset for base in positions
                      for offset in range(0, dim * step, step)]
     step = stride[r]
-    return list(chain.from_iterable(map(
-        range, positions, [base + dim * step for base in positions], repeat(step))))
+    return chain.from_iterable(map(
+        range, positions, [base + dim * step for base in positions], repeat(step)))
+
+
+#: The flat positions ``0, 1, ...`` that readers are built from, extended
+#: (never rebuilt) to the largest tensor read so far, so that every reader of
+#: every size holds the same position ints rather than its own copies.
+_positions: tuple[int, ...] = ()
+
+
+@lru_cache(maxsize=_READERS)
+def _reader(images: tuple[int, ...], dim: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """An ``itemgetter`` that reads the flat entries of an order-r tensor,
+    ``r = len(images)``, in the order ``_gather(images, dim)`` gives: the
+    slot-permuted copy, in one C call.
+
+    Retention: a reader holds one 8-byte pointer per entry into the shared
+    ``_positions``, so at ``_ENTRY_CAP`` entries it takes 8 MB, and the
+    position ints take 36 MB once (28 bytes each plus the tuple).  The
+    ``_READERS`` readers of the cache therefore hold at most 548 MB, which
+    takes 64 keys near the cap, such as every permutation of S_4 at three
+    dimensions from 29 to 31.  One membership check keeps 7 readers: at
+    n = 24 they and the position ints left 32 MB more resident than before
+    the check (``BENCH_decompose.json``).
+    """
+    global _positions
+    size = dim ** len(images)
+    if size == 1:
+        # itemgetter with a single index returns a scalar, not a tuple
+        return itemgetter(slice(None))
+    shared = _positions
+    if len(shared) < size:
+        shared = _positions = shared + tuple(range(len(shared), size))
+    return itemgetter(*map(shared.__getitem__, _gather(images, dim)))
 
 
 class DenseTensor:
@@ -214,8 +257,11 @@ class DenseTensor:
         self._require_same_shape(other)
         den = lcm(self._den, other._den)
         fa, fb = den // self._den, sign * (den // other._den)
-        return type(self)._unchecked(self._order, self._dim, [
-            fa * a + fb * b for a, b in zip(self._ints, other._ints)], den)
+        if fa == 1 and fb in (1, -1):
+            ints = map(add if fb == 1 else sub, self._ints, other._ints)
+        else:
+            ints = map(add, map(mul, repeat(fa), self._ints), map(mul, repeat(fb), other._ints))
+        return type(self)._unchecked(self._order, self._dim, tuple(ints), den)
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         return self._combine(other, 1)
@@ -225,12 +271,12 @@ class DenseTensor:
 
     def __neg__(self) -> "DenseTensor":
         return type(self)._unchecked(self._order, self._dim,
-                                     [-a for a in self._ints], self._den)
+                                     tuple(map(neg, self._ints)), self._den)
 
     def scale(self, scalar: Scalar) -> "DenseTensor":
         num, den = exact(scalar).as_integer_ratio()
         return type(self)._unchecked(self._order, self._dim,
-                                     [num * a for a in self._ints], self._den * den)
+                                     tuple(map(mul, repeat(num), self._ints)), self._den * den)
 
     def __mul__(self, scalar) -> "DenseTensor":
         if isinstance(scalar, (int, str, Fraction)):
@@ -261,8 +307,8 @@ class DenseTensor:
     def transpose(self) -> "DenseTensor":
         """Swap the two slots of an order-2 tensor."""
         self._require_matrix("transpose")
-        return type(self)._unchecked(2, self._dim, tuple(
-            map(self._ints.__getitem__, _gather((2, 1), self._dim))), self._den)
+        return type(self)._unchecked(2, self._dim, _reader((2, 1), self._dim)(self._ints),
+                                     self._den)
 
     def __matmul__(self, other: "DenseTensor") -> "DenseTensor":
         """Matrix product of two order-2 tensors."""
@@ -335,17 +381,30 @@ class DenseTensor:
 
 
 def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTensor:
-    """Act with ``a`` on ``tensor`` by permuting slots and summing."""
+    """Act with ``a`` on ``tensor`` by permuting slots and summing.
+
+    Each term reads its entries through the cached ``_reader`` of its slot
+    permutation, the identity term the stored numerators themselves, and
+    ``map`` folds it into the sum: no Python bytecode runs per entry."""
     if a.degree != tensor.order:
         raise ValueError(
             f"element degree {a.degree} != tensor order {tensor.order}"
         )
-    ints, identity = tensor._ints, tuple(range(1, tensor.order + 1))
-    c = a._ints.get(identity)
-    acc = [c * v for v in ints] if c else [0] * len(ints)
+    ints, dim, identity = tensor._ints, tensor.dim, tuple(range(1, tensor.order + 1))
+    acc = None
     for images, c in a._ints.items():
-        if images != identity:
-            acc = [s + c * ints[j] for s, j in zip(acc, _gather(images, tensor.dim))]
+        read = ints if images == identity else _reader(images, dim)(ints)
+        if acc is None:
+            acc = read if c == 1 else map(neg, read) if c == -1 else map(mul, repeat(c), read)
+        elif c == 1:
+            acc = map(add, acc, read)
+        elif c == -1:
+            acc = map(sub, acc, read)
+        else:
+            acc = map(add, acc, map(mul, repeat(c), read))
+        acc = tuple(acc)
+    if acc is None:
+        acc = (0,) * len(ints)
     return DenseTensor._unchecked(tensor.order, tensor.dim, acc, a._den * tensor._den)
 
 

@@ -297,29 +297,33 @@ def test_wrong_symmetrizer_factor_is_refused(monkeypatch):
         canonical_elements.cache_clear()
 
 
-def test_membership_check_gather_count(monkeypatch):
-    """One ``check_curvature`` builds one gather per non-identity term: three
-    for the direct conditions (one on a tensor rejected by the first), two
-    for the Bianchi sum and four for the symmetrizer factors.  Applying the
-    16 terms of ``symmetrizer_star`` one by one would take 25 and 21."""
+def test_membership_check_term_reads(monkeypatch):
+    """One ``check_curvature`` reads one permuted copy of a tensor per
+    non-identity term: three for the direct conditions (one on a tensor
+    rejected by the first), two for the Bianchi sum and four for the
+    symmetrizer factors.  Applying the 16 terms of ``symmetrizer_star`` one
+    by one would take 25 and 21.  The readers are cached, so a second check
+    at the same dimension builds none."""
     rng = random.Random(1)
     accepted = rand_curvature(rng, 3)
     rejected = rand_tensor(rng, 4, 3)
     canonical_elements()
-    original = tensor_ops_module._gather
-    calls = []
+    reader = tensor_ops_module._reader
+    reads = []
 
     def counting(images, dim):
-        calls.append(images)
-        return original(images, dim)
+        reads.append(images)
+        return reader(images, dim)
 
-    monkeypatch.setattr(tensor_ops_module, "_gather", counting)
+    monkeypatch.setattr(tensor_ops_module, "_reader", counting)
     assert check_curvature(accepted).ok
-    assert len(calls) == 9
-    calls.clear()
+    assert len(reads) == 9
+    reads.clear()
+    built = reader.cache_info().misses
     result = check_curvature(rejected)
     assert result.first_violation == "antisymmetry in the first index pair"
-    assert len(calls) == 7
+    assert len(reads) == 7
+    assert reader.cache_info().misses == built
 
 
 def test_identity_table_entries():

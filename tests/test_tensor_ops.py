@@ -7,6 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symcurv.tensor_ops as tensor_ops_module
 from symcurv import (
     DenseTensor,
     GroupRingElement,
@@ -195,12 +196,16 @@ def _reference_action(a, t):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_action_matches_entrywise_reference(order, dim):
+    """The action agrees with the entrywise definition with its slot
+    readers built cold, read warm, and rebuilt after eviction."""
     rng = random.Random(100 * order + dim)
     group = [Permutation(images) for images in permutations(range(1, order + 1))]
     # a permutation that moves exactly three points is a 3-cycle
     three_cycles = [p for p in group
                     if sum(k != img for k, img in enumerate(p.images, 1)) == 3]
     assert len(three_cycles) == (0, 0, 2, 8)[order - 1]
+    tensor_ops_module._reader.cache_clear()
+    results = []
     for _ in range(3):
         t = DenseTensor(order, dim, [rand_fraction(rng, -4, 4, 3)
                                      for _ in range(dim ** order)])
@@ -220,6 +225,18 @@ def test_action_matches_entrywise_reference(order, dim):
         for a in elements:
             got = apply_symmetry_operator(a, t)
             assert {idx: got[idx] for idx in got.indices()} == _reference_action(a, t)
+            assert apply_symmetry_operator(a, t) == got
+            results.append((a, t, got))
+    # applying every permutation at higher dimensions, more keys than the
+    # cache holds, evicts each reader built above (order 1 builds none)
+    moved = len(group) - 1
+    if moved:
+        every = GroupRingElement(order, [(p, 1) for p in group])
+        for d in range(dim + 1, dim + 2 + tensor_ops_module._READERS // moved):
+            apply_symmetry_operator(every, DenseTensor.zeros(order, d))
+        assert tensor_ops_module._reader.cache_info().currsize == tensor_ops_module._READERS
+    for a, t, got in results:
+        assert apply_symmetry_operator(a, t) == got
 
 
 def test_action_is_compatible_with_product():
