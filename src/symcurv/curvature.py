@@ -38,9 +38,17 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
-from ._exact import Scalar, exact, json_int, numerators
+from ._exact import Scalar, exact, json_int
 from .symgroup import GroupRingElement, solve_right_factor
-from .tensor_ops import DenseTensor, apply_symmetry_operator
+from .tensor_ops import (
+    DenseTensor,
+    _gram_sum,
+    _leads_negative,
+    _nonzero_count,
+    _slab,
+    _value_order,
+    apply_symmetry_operator,
+)
 from .young import curvature_tableau, young_symmetrizer
 
 
@@ -187,40 +195,25 @@ def _quadratic_sum(dim: int,
     """``sum c * gamma(S) + sum c * alpha(A)`` over ``(c, S)`` and ``(c, A)``.
 
     Both maps are linear in the tensor square, so each kind costs one
-    accumulation of ``sum c * vec(M) vec(M)^T`` and one application of its
-    group-ring element; a kind without nonzero terms is skipped.  The sum
-    runs on the stored numerators of the matrices, with each weight
-    ``c / den**2`` brought over one common denominator, one dot product per
-    pair of nonzero flat positions (the square is symmetric in its two
-    pairs).  Every gamma matrix must be symmetric and every alpha matrix
-    skew, each of order 2 and dimension ``dim``; zero weights are skipped
-    after that check.
+    accumulation ``tensor_ops._gram_sum`` of ``sum c * vec(M) vec(M)^T`` and
+    one application of its group-ring element; a kind without nonzero terms
+    is skipped.  Every gamma matrix must be symmetric and every alpha
+    matrix skew, each of order 2 and dimension ``dim``; zero weights are
+    skipped after that check.
     """
     parts = []
     for element, require, terms in ((_GAMMA, _require_symmetric, gamma_terms),
                                     (_ALPHA, _require_skew, alpha_terms)):
-        flats, weights = [], []
+        weighted = []
         for c, m in terms:
             require(m)
             if m.dim != dim:
                 raise ValueError(f"matrix dimension {m.dim} != {dim}")
             c = exact(c)
             if c:
-                flats.append(m._ints)
-                weights.append(c / (m._den * m._den))
-        if not weights:
-            continue
-        scales, common = numerators(weights)
-        columns = list(zip(*flats))
-        live = [a for a, column in enumerate(columns) if any(column)]
-        size = dim * dim
-        acc = [0] * (size * size)
-        for k, a in enumerate(live):
-            weighted = list(map(mul, scales, columns[a]))
-            for b in live[k:]:
-                acc[a * size + b] = acc[b * size + a] = sum(map(mul, weighted, columns[b]))
-        parts.append(apply_symmetry_operator(
-            element, DenseTensor._unchecked(4, dim, acc, common)))
+                weighted.append((c, m))
+        if weighted:
+            parts.append(apply_symmetry_operator(element, _gram_sum(dim, weighted)))
     if not parts:
         return DenseTensor.zeros(4, dim)
     return parts[0] if len(parts) == 1 else parts[0] + parts[1]
@@ -260,8 +253,7 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
     first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
                             if apply_symmetry_operator(annihilator, tensor)), None)
-    defect = bianchi_defect(tensor)._ints
-    bianchi_nonzero = len(defect) - defect.count(0)
+    bianchi_nonzero = _nonzero_count(bianchi_defect(tensor))
     if first_violation is None and bianchi_nonzero:
         first_violation = "first Bianchi identity"
     direct_ok = first_violation is None
@@ -413,14 +405,13 @@ def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]
     for weight, matrix in raw:
         if not weight or matrix.is_zero:
             continue
-        if next(v for v in matrix._ints if v) < 0:
+        if _leads_negative(matrix):
             matrix = -matrix
         acc[matrix] = acc.get(matrix, 0) + weight
-    common = math.lcm(*(matrix._den for matrix in acc))
+    key = _value_order(acc)
     return tuple(
         DecompositionTerm(1 if total > 0 else -1, abs(total), matrix)
-        for matrix, total in sorted(acc.items(), key=lambda item: [
-            common // item[0]._den * v for v in item[0]._ints])
+        for matrix, total in sorted(acc.items(), key=lambda item: key(item[0]))
         if total
     )
 
@@ -464,7 +455,7 @@ def _decomposition(tensor: DenseTensor, kind: str, label: str) -> CurvatureDecom
     raw: list[tuple[Fraction, DenseTensor]] = []
     for k in range(n):
         for l in range(k, n):
-            slab = DenseTensor._unchecked(2, n, source._ints[k * n + l::n * n], source._den)
+            slab = _slab(source, k, l)
             if slab.is_zero:
                 continue
             first = project(slab)

@@ -102,8 +102,8 @@ class Metric:
             raise ValueError("matrix is singular over the rationals")
         self._matrix = matrix
         common = lcm(*(row[i] for i, row in enumerate(work)))
-        self._inverse = LinearMap._unchecked(2, n, [
-            v * (common // row[i]) for i, row in enumerate(work) for v in row[n:]], common)
+        self._inverse = LinearMap._from_int_rows([
+            [v * (common // row[i]) for v in row[n:]] for i, row in enumerate(work)], common)
         # Descartes' rule of signs: the number of positive roots is at most
         # the number of sign changes among the nonzero coefficients, with
         # equality when every root is real.  A symmetric matrix has real
@@ -228,7 +228,7 @@ def _closed_form_parts(m: DenseTensor, g: Metric, x: Sequence[Scalar]
     xv = [exact(v) for v in x]
     u = c(xv)
     (us, du), (ws, dw) = numerators(u), numerators(c.transpose()(g._matrix(xv)))
-    outer = LinearMap._unchecked(2, len(us), [a * b for a in us for b in ws], du * dw)
+    outer = LinearMap._from_int_rows([[a * b for b in ws] for a in us], du * dw)
     return c, g.inner(u, xv), outer
 
 

@@ -27,11 +27,10 @@ one C call through its reader, and folds each into the sum with ``map``.
 apart, as C-level ``range`` runs.  ``_contract_middle`` is the Jacobi
 contraction ``T(a, x, x, d)``.
 
-Five functions outside this module also read or write the flat numerators:
-``curvature._quadratic_sum`` (``sum c vec(M) vec(M)^T``), ``_merge_terms``
-(sign and order of matrices), ``_decomposition`` (the slices ``T[.,.,k,l]``),
-``check_curvature`` (the nonzero count of the Bianchi defect) and
-``osserman.Metric.__init__`` (the inverse).
+No other module reads or writes the flat numerators: they reach them only
+through ``_int_rows``, ``_from_int_rows``, ``_slab``, ``_gram_sum``,
+``_contract_middle``, ``_nonzero_count``, ``_leads_negative`` and
+``_value_order``.
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
 action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
@@ -304,6 +303,12 @@ class DenseTensor:
         n, ints = self._dim, self._ints
         return [list(ints[k:k + n]) for k in range(0, n * n, n)], self._den
 
+    @classmethod
+    def _from_int_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "DenseTensor":
+        """Inverse of ``_int_rows``: the order-2 tensor whose rows are the
+        integer numerators ``rows`` over ``den > 0``, without validation."""
+        return cls._unchecked(2, len(rows), tuple(chain.from_iterable(rows)), den)
+
     def transpose(self) -> "DenseTensor":
         """Swap the two slots of an order-2 tensor."""
         self._require_matrix("transpose")
@@ -427,8 +432,30 @@ def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:
         raise ValueError(f"need two order-2 tensors, got orders {m.order}, {n.order}")
     if m.dim != n.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {n.dim}")
+    _check_shape(4, m.dim)
     return DenseTensor._unchecked(4, m.dim, [
         x * y for x in m._ints for y in n._ints], m._den * n._den)
+
+
+def _gram_sum(dim: int, terms: Sequence[tuple[Fraction, DenseTensor]]) -> DenseTensor:
+    """``sum c * tensor_product(M, M)`` over the pairs ``(c, M)`` of
+    dimension-``dim`` matrices, i.e. ``sum c vec(M) vec(M)^T``.
+
+    The sum runs on the stored numerators of the matrices, with each weight
+    ``c / den**2`` brought over one common denominator, one dot product per
+    pair of nonzero flat positions (the square is symmetric in its two
+    pairs).  The shape is checked against the entry cap first."""
+    _check_shape(4, dim)
+    scales, common = numerators([c / (m._den * m._den) for c, m in terms])
+    columns = list(zip(*(m._ints for _, m in terms)))
+    live = [a for a, column in enumerate(columns) if any(column)]
+    size = dim * dim
+    acc = [0] * (size * size)
+    for k, a in enumerate(live):
+        weighted = list(map(mul, scales, columns[a]))
+        for b in live[k:]:
+            acc[a * size + b] = acc[b * size + a] = sum(map(mul, weighted, columns[b]))
+    return DenseTensor._unchecked(4, dim, acc, common)
 
 
 def to_group_ring(tensor: DenseTensor,
@@ -451,6 +478,12 @@ def to_group_ring(tensor: DenseTensor,
         for perm in enumerate_group(r)}, prod((d for _, d in converted), start=tensor._den))
 
 
+def _slab(tensor: DenseTensor, k: int, l: int) -> DenseTensor:
+    """The matrix ``M[i,j] = T[i,j,k,l]`` of an order-4 ``T``."""
+    n = tensor.dim
+    return DenseTensor._unchecked(2, n, tensor._ints[k * n + l::n * n], tensor._den)
+
+
 def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:
     """Cut an order-4 tensor into matrix pairs with ``sum M (x) N == tensor``.
 
@@ -459,10 +492,29 @@ def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:
     """
     if tensor.order != 4:
         raise ValueError(f"slice_pairs needs order 4, got {tensor.order}")
-    n, ints, den = tensor.dim, tensor._ints, tensor._den
-    slabs = [DenseTensor._unchecked(2, n, ints[kl::n * n], den) for kl in range(n * n)]
-    return [(slab, DenseTensor.from_entries(2, n, {divmod(kl, n): 1}))
-            for kl, slab in enumerate(slabs) if not slab.is_zero]
+    n = tensor.dim
+    return [(slab, DenseTensor.from_entries(2, n, {(k, l): 1}))
+            for k in range(n) for l in range(n)
+            if not (slab := _slab(tensor, k, l)).is_zero]
+
+
+def _nonzero_count(tensor: DenseTensor) -> int:
+    """The number of nonzero entries of ``tensor``, counted in C."""
+    ints = tensor._ints
+    return len(ints) - ints.count(0)
+
+
+def _leads_negative(tensor: DenseTensor) -> bool:
+    """True iff the first nonzero entry of ``tensor``, row-major, is
+    negative (False for the zero tensor)."""
+    return next((v for v in tensor._ints if v), 0) < 0
+
+
+def _value_order(tensors: Iterable[DenseTensor]) -> Callable[[DenseTensor], list[int]]:
+    """A sort key that orders ``tensors`` by their entries, row-major,
+    compared as numerators over the lcm of all their denominators."""
+    common = lcm(*(t._den for t in tensors))
+    return lambda t: [common // t._den * v for v in t._ints]
 
 
 def sym_split(m: DenseTensor) -> tuple[DenseTensor, DenseTensor]:

@@ -30,6 +30,7 @@ from symcurv import (
     gamma,
     is_algebraic_curvature,
     jacobi_operator,
+    jordan_family,
     slice_pairs,
     sym_split,
     tensor_product,
@@ -147,11 +148,15 @@ def test_bianchi_defect():
 
 def test_both_criteria_agree_on_random_tensors():
     rng = random.Random(36)
+    rejected = 0
     for i in range(20):
         n = 2 + i % 3
         t = rand_curvature(rng, n) if i % 2 else rand_tensor(rng, 4, n)
         result = check_curvature(t)
         assert result.direct_ok == result.young_ok
+        assert result.bianchi_nonzero == len(list(bianchi_defect(t).nonzero_items()))
+        rejected += result.bianchi_nonzero > 0
+    assert rejected  # the count is not only ever 0
 
 
 _CONDITION_NAMES = ("antisymmetry in the first index pair",
@@ -704,6 +709,24 @@ def test_reconstruct_validates_every_matrix():
     for gammas, alphas in cases:
         with pytest.raises(ValueError, match="symmetric"):
             CurvatureDecomposition("mixed", 2, gammas, alphas).reconstruct()
+
+
+def test_order_four_writers_refuse_the_entry_cap():
+    """At n = 32 every quadratic construction would hold 32**4 = 1,048,576
+    entries; each is refused before it allocates, sparse input or not."""
+    s = DenseTensor.from_entries(2, 32, {(0, 0): 1})
+    a = DenseTensor.from_entries(2, 32, {(0, 1): 1, (1, 0): -1})
+    builds = (
+        lambda: gamma(s),
+        lambda: alpha(a),
+        lambda: CurvatureDecomposition(
+            "mixed", 32, (DecompositionTerm(1, Fraction(1), s),), ()).reconstruct(),
+        lambda: jordan_family([1], [[0]], [a]),
+        lambda: tensor_product(s, a),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="cap"):
+            build()
 
 
 @pytest.mark.parametrize("n", [8, 10])

@@ -600,6 +600,10 @@ def test_order_two_tensor_is_the_matrix_type(n):
         assert all(isinstance(x, Fraction) for x in _entries(plain) + _entries(mapped))
         if isinstance(mapped, DenseTensor):
             assert type(mapped) is LinearMap
+    # the private rows constructor inverts _int_rows and keeps the type
+    for matrix in (d, m):
+        back = type(matrix)._from_int_rows(*matrix._int_rows())
+        assert back == matrix and type(back) is type(matrix)
     assert (d @ e).rows == tuple(
         tuple(sum((d.rows[i][j] * e.rows[j][l] for j in range(n)), Fraction(0))
               for l in range(n)) for i in range(n))

@@ -1,12 +1,16 @@
 """Tensor storage, the slot-permutation action, and the group-ring embedding."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symcurv.cli
+import symcurv.curvature
+import symcurv.osserman
 import symcurv.tensor_ops as tensor_ops_module
 from symcurv import (
     DenseTensor,
@@ -33,6 +37,7 @@ from helpers import (
     rand_symmetric,
     rand_tensor,
     rand_vector,
+    structured_curvatures,
 )
 
 
@@ -93,6 +98,16 @@ def test_index_entries_must_be_integers():
         t[(True, 0)]  # not entry (1, 0)
     with pytest.raises(TypeError, match=r"index \(0, 1\.0\)"):
         DenseTensor.from_entries(2, 2, {(0, 1.0): 1})
+
+
+def test_flat_numerators_stay_inside_tensor_ops():
+    """Only ``tensor_ops`` reads or writes the stored numerators; the other
+    modules go through its private helpers (``_int_rows``, ``_slab``, ...)."""
+    touch = re.compile(r"\._ints|\._den\b|\._unchecked\(")
+    for module in (symcurv.curvature, symcurv.osserman, symcurv.cli):
+        with open(module.__file__, encoding="utf-8") as source:
+            lines = [line for line in source if touch.search(line)]
+        assert lines == [], module.__name__
 
 
 def test_constructors_build_dense_tensors_on_the_matrix_subclass():
@@ -265,6 +280,26 @@ def test_tensor_product_values():
         tensor_product(eye, DenseTensor.zeros(2, 3))
 
 
+def test_gram_sum_is_the_weighted_sum_of_tensor_squares():
+    """``_gram_sum`` against ``sum c * tensor_product(M, M)``: mixed
+    denominators, zero weights and zero matrices, at n = 1 too."""
+    rng = random.Random(24)
+    for n in (1, 2, 3, 4):
+        for count in (1, 2, 5):
+            matrices = [rand_tensor(rng, 2, n).scale(rand_fraction(rng, 1, 3, 7))
+                        for _ in range(count)] + [DenseTensor.zeros(2, n)]
+            terms = [(rand_fraction(rng, -4, 4, 9), rng.choice(matrices))
+                     for _ in range(count + 1)]
+            terms.append((Fraction(0), matrices[0]))
+            expected = DenseTensor.zeros(4, n)
+            for c, m in terms:
+                expected = expected + tensor_product(m, m).scale(c)
+            assert tensor_ops_module._gram_sum(n, terms) == expected
+    one = DenseTensor(2, 1, ["3/2"])
+    assert tensor_ops_module._gram_sum(1, [(Fraction(-2, 3), one)]) == DenseTensor(4, 1, ["-3/2"])
+    assert tensor_ops_module._gram_sum(2, []) == DenseTensor.zeros(4, 2)
+
+
 # ------------------------------------------------------------------- embedding
 
 def test_to_group_ring_zero():
@@ -357,6 +392,29 @@ def test_slice_pairs_reconstruction():
             total = total + tensor_product(m, unit)
         assert total == t
     assert slice_pairs(DenseTensor.zeros(4, 2)) == []
+
+
+def test_slab_reads_the_entrywise_slice():
+    rng = random.Random(25)
+    tensors = list(structured_curvatures().values())
+    tensors += [rand_tensor(rng, 4, n) for n in (1, 2, 3, 4)]
+    for t in tensors:
+        n = t.dim
+        for k, l in product(range(n), repeat=2):
+            assert tensor_ops_module._slab(t, k, l) == DenseTensor.from_function(
+                2, n, lambda ij: t[ij + (k, l)])
+
+
+def test_merge_order_helpers():
+    """The sign rule and the sort key of the decompositions' term merge."""
+    assert not tensor_ops_module._leads_negative(DenseTensor.zeros(2, 2))
+    assert tensor_ops_module._leads_negative(DenseTensor(2, 2, [0, "-1/3", 5, 0]))
+    assert not tensor_ops_module._leads_negative(DenseTensor(2, 2, [0, 0, "1/2", -7]))
+    ms = [DenseTensor(2, 2, values) for values in
+          ([0, "1/2", 0, 0], [0, "1/3", 1, 0], [0, "1/2", 0, "-1/5"], ["-1/7", 0, 0, 0])]
+    key = tensor_ops_module._value_order(ms)
+    entries = lambda m: [m[idx] for idx in m.indices()]
+    assert sorted(ms, key=key) == sorted(ms, key=entries)
 
 
 def test_slice_pairs_generic_count():
