@@ -25,8 +25,9 @@ Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The symmetrizer test applies
 ``(id - [2,1,3,4])(id - [1,2,4,3])(id + [3,2,1,4])(id + [1,4,3,2])``
 (the signed column sum, then the row sum, of the tableau), whose product
 ``canonical_elements`` checks once.  ``decompose_pure`` (and
-``decompose_mixed``, its alpha-only alias) polarizes the n(n+-1)/2 index
-pairs k <= l once each and checks the reconstruction exactly before returning.
+``decompose_mixed``, its alpha-only alias) projects its source once,
+polarizes the n(n+-1)/2 slices k <= l, puts the terms in canonical form
+with ``tensor_ops._canonical_terms`` and checks the reconstruction exactly.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from ._exact import Scalar, exact, json_int
 from .symgroup import GroupRingElement, solve_right_factor
 from .tensor_ops import (
     DenseTensor,
+    _canonical_terms,
     _gram_sum,
-    _leads_negative,
     _nonzero_count,
     _slab,
-    _value_order,
     apply_symmetry_operator,
 )
 from .young import curvature_tableau, young_symmetrizer
@@ -99,8 +99,9 @@ _ID, _T12, _T34, _SWAP = [1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 4, 3], [3, 4, 1, 2]
 _GAMMA = _ring(([1, 4, 2, 3], "1/3"), ([1, 3, 2, 4], "-1/3"))
 _ALPHA = _ring((_ID, "2/3"), ([1, 3, 2, 4], "1/3"), ([1, 4, 2, 3], "-1/3"))
 _BIANCHI = _ring((_ID, 1), ([1, 3, 4, 2], 1), ([1, 4, 2, 3], 1))
+_FIRST_PAIR_SUM = _ring((_ID, 1), (_T12, 1))
 _DIRECT_CONDITIONS = (
-    ("antisymmetry in the first index pair", _ring((_ID, 1), (_T12, 1))),
+    ("antisymmetry in the first index pair", _FIRST_PAIR_SUM),
     ("antisymmetry in the second index pair", _ring((_ID, 1), (_T34, 1))),
     ("pair-exchange symmetry", _ring((_ID, 1), (_SWAP, -1))),
 )
@@ -122,7 +123,7 @@ def canonical_elements() -> CanonicalElements:
     ystar = y.star()
     swap_sym = _ring((_ID, 1), (_SWAP, 1))
     swap_proj = swap_sym.scale(Fraction(1, 2))
-    pair_sym = _ring((_ID, 1), (_T12, 1)) * _ring((_ID, 1), (_T34, 1))
+    pair_sym = _FIRST_PAIR_SUM * _ring((_ID, 1), (_T34, 1))
     pair_skew = _ring((_ID, 1), (_T12, -1)) * _ring((_ID, 1), (_T34, -1))
     swapped = ystar * swap_sym
     gamma_gen = swapped * pair_sym
@@ -391,31 +392,6 @@ class CurvatureDecomposition:
         return cls(kind, dim, tuple(terms["gamma"]), tuple(terms["alpha"]))
 
 
-def _merge_terms(raw: Iterable[tuple[Fraction, DenseTensor]]
-                 ) -> tuple[DecompositionTerm, ...]:
-    """Merge signed-weight terms over equal matrices.
-
-    Matrices are sign-normalized first (first nonzero entry made positive);
-    this is harmless because the quadratic maps ignore the overall sign of
-    their argument.  Equal matrices have equal storage, so they are merged
-    by hashing the tensors themselves; the output is ordered by entry
-    values, compared as numerators over the lcm of all their denominators.
-    """
-    acc: dict[DenseTensor, Fraction] = {}
-    for weight, matrix in raw:
-        if not weight or matrix.is_zero:
-            continue
-        if _leads_negative(matrix):
-            matrix = -matrix
-        acc[matrix] = acc.get(matrix, 0) + weight
-    key = _value_order(acc)
-    return tuple(
-        DecompositionTerm(1 if total > 0 else -1, abs(total), matrix)
-        for matrix, total in sorted(acc.items(), key=lambda item: key(item[0]))
-        if total
-    )
-
-
 def _rank_at_most_one(matrix: DenseTensor) -> bool:
     """True iff every 2x2 minor of ``matrix`` vanishes (tested on its integer
     numerators); for a symmetric matrix that is exactly ``gamma(matrix) == 0``."""
@@ -444,26 +420,28 @@ def _decomposition(tensor: DenseTensor, kind: str, label: str) -> CurvatureDecom
     """The ``kind``-only decomposition of :func:`decompose_pure`, labelled ``label``."""
     _require_curvature(tensor)
     n = tensor.dim
+    # each slab of the source is polarized with the unit (E_kl + sign E_lk)/den
     if kind == "alpha":
-        source, weight = tensor, Fraction(1, 2)
-        project = lambda m: (m - m.transpose()).scale(Fraction(1, 2))
+        source, weight, sign, den = tensor, Fraction(1, 2), -1, 2
     else:
-        source = apply_symmetry_operator(
-            canonical_elements().gamma_preimage, tensor).scale(Fraction(1, 12))
-        weight = Fraction(12)
-        project = lambda m: m + m.transpose()
+        element = (_FIRST_PAIR_SUM * canonical_elements().gamma_preimage).scale(Fraction(1, 12))
+        source = apply_symmetry_operator(element, tensor)
+        weight, sign, den = Fraction(12), 1, 1
     raw: list[tuple[Fraction, DenseTensor]] = []
     for k in range(n):
         for l in range(k, n):
-            slab = _slab(source, k, l)
-            if slab.is_zero:
+            first = _slab(source, k, l)
+            if first.is_zero:
                 continue
-            first = project(slab)
-            second = project(DenseTensor.from_entries(2, n, {(k, l): 1}))
+            unit = [[0] * n for _ in range(n)]
+            unit[k][l] += 1
+            unit[l][k] += sign
+            second = DenseTensor._from_int_rows(unit, den)
             w = weight if k == l else 2 * weight
             raw += ((w, first + second), (-w, first), (-w, second))
     # diagonal slices yield rank-1 terms, whose gamma is 0 (skew ranks are even)
-    merged = tuple(t for t in _merge_terms(raw) if not _rank_at_most_one(t.matrix))
+    merged = tuple(DecompositionTerm(1 if c > 0 else -1, abs(c), m)
+                   for c, m in _canonical_terms(raw) if not _rank_at_most_one(m))
     gammas, alphas = (merged, ()) if kind == "gamma" else ((), merged)
     return _checked(CurvatureDecomposition(label, n, gammas, alphas), tensor)
 
@@ -481,13 +459,16 @@ def decompose_pure(tensor: DenseTensor, kind: str) -> CurvatureDecomposition:
     ``T = 1/2 sum (M (x) N + N (x) M)``, and polarization turns each summand
     into a difference of squares.  Every slice ``M`` is skew, so the
     symmetric parts of ``M + N``, ``M`` and ``N`` are ``sym(N)``, ``0`` and
-    ``sym(N)``, and their gamma terms cancel.  Only the skew parts
-    ``(X - X^T)/2`` are polarized, so the result has alpha terms only.
+    ``sym(N)``, and their gamma terms cancel.  So each slice is polarized
+    as it is, with the skew part ``(E_kl - E_lk)/2`` of its unit, and the
+    result has alpha terms only.
 
     kind="gamma": the gamma generator annihilates curvature tensors from
     the left, so ``T' = (gamma_preimage T)/12`` is sliced instead, which
     satisfies ``gamma_generator T' == T``; polarizing the symmetric parts
-    ``X + X^T`` of its slice factors leaves gamma terms only.
+    ``X + X^T`` of its slice factors leaves gamma terms only.  One action
+    of ``((id + [2,1,3,4]) gamma_preimage)/12`` on T gives a tensor whose
+    slices are those symmetric parts; the units' are ``E_kl + E_lk``.
 
     Both kinds slice only the index pairs ``k <= l``: on a curvature tensor
     the projected ``(l, k)`` pair repeats the ``(k, l)`` pair up to the sign

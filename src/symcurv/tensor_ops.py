@@ -29,8 +29,7 @@ contraction ``T(a, x, x, d)``.
 
 No other module reads or writes the flat numerators: they reach them only
 through ``_int_rows``, ``_from_int_rows``, ``_slab``, ``_gram_sum``,
-``_contract_middle``, ``_nonzero_count``, ``_leads_negative`` and
-``_value_order``.
+``_canonical_terms``, ``_contract_middle`` and ``_nonzero_count``.
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
 action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
@@ -58,7 +57,7 @@ from .symgroup import GroupRingElement, enumerate_group
 _ENTRY_CAP = 10 ** 6
 
 #: Number of slot-permutation readers ``_reader`` keeps, least recently used
-#: first out.  Membership checks and decompositions at n = 3..6 use 36
+#: first out.  Membership checks and decompositions at n = 3..6 use 40
 #: (permutation, dimension) keys between them, and repeating a sequence of
 #: more keys than the cache holds would miss on every one.
 _READERS = 64
@@ -458,6 +457,27 @@ def _gram_sum(dim: int, terms: Sequence[tuple[Fraction, DenseTensor]]) -> DenseT
     return DenseTensor._unchecked(4, dim, acc, common)
 
 
+def _canonical_terms(terms: Iterable[tuple[Fraction, DenseTensor]]
+                     ) -> list[tuple[Fraction, DenseTensor]]:
+    """The canonical list of pairs ``(c, M)`` with the same
+    ``sum c * tensor_product(M, M)`` as ``terms`` (the ``_gram_sum``).
+
+    Each M is signed so that its first nonzero entry, row-major, is
+    positive, which leaves ``M (x) M`` unchanged; equal matrices have equal
+    storage, so they are merged by hashing; zero matrices, zero weights and
+    zero sums are dropped; the rest are ordered by their entries, compared
+    as numerators over the lcm of their denominators."""
+    acc: dict[DenseTensor, Fraction] = {}
+    for c, m in terms:
+        lead = next((v for v in m._ints if v), 0)
+        if c and lead:
+            m = m if lead > 0 else -m
+            acc[m] = acc.get(m, 0) + c
+    common = lcm(*(m._den for m in acc))
+    return sorted(((c, m) for m, c in acc.items() if c),
+                  key=lambda term: [common // term[1]._den * v for v in term[1]._ints])
+
+
 def to_group_ring(tensor: DenseTensor,
                   vectors: Sequence[Sequence[Scalar]]) -> GroupRingElement:
     """Evaluate ``tensor`` on every slot-permutation of the vector tuple.
@@ -502,19 +522,6 @@ def _nonzero_count(tensor: DenseTensor) -> int:
     """The number of nonzero entries of ``tensor``, counted in C."""
     ints = tensor._ints
     return len(ints) - ints.count(0)
-
-
-def _leads_negative(tensor: DenseTensor) -> bool:
-    """True iff the first nonzero entry of ``tensor``, row-major, is
-    negative (False for the zero tensor)."""
-    return next((v for v in tensor._ints if v), 0) < 0
-
-
-def _value_order(tensors: Iterable[DenseTensor]) -> Callable[[DenseTensor], list[int]]:
-    """A sort key that orders ``tensors`` by their entries, row-major,
-    compared as numerators over the lcm of all their denominators."""
-    common = lcm(*(t._den for t in tensors))
-    return lambda t: [common // t._den * v for v in t._ints]
 
 
 def sym_split(m: DenseTensor) -> tuple[DenseTensor, DenseTensor]:

@@ -372,6 +372,12 @@ def test_mixed_round_trip_gamma_input():
         assert m == -m.transpose()
 
 
+def _canonical(raw) -> tuple[DecompositionTerm, ...]:
+    """``raw`` in the library's canonical form, as decomposition terms."""
+    return tuple(DecompositionTerm(1 if c > 0 else -1, abs(c), m)
+                 for c, m in tensor_ops_module._canonical_terms(raw))
+
+
 def _mixed_by_sym_split(t: DenseTensor) -> CurvatureDecomposition:
     """Reference: split every polarized square into its symmetric and skew
     parts and merge both halves, gammas included."""
@@ -382,9 +388,7 @@ def _mixed_by_sym_split(t: DenseTensor) -> CurvatureDecomposition:
             sym, skew = sym_split(square)
             raw_gamma.append((weight, sym))
             raw_alpha.append((weight, skew))
-    return CurvatureDecomposition("mixed", t.dim,
-                                  curvature_module._merge_terms(raw_gamma),
-                                  curvature_module._merge_terms(raw_alpha))
+    return CurvatureDecomposition("mixed", t.dim, _canonical(raw_gamma), _canonical(raw_alpha))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -412,7 +416,7 @@ def _every_pair_reference(t: DenseTensor, kind: str, label: str) -> CurvatureDec
     for m, n in slice_pairs(source):
         first, second = project(m), project(n)
         raw += ((weight, first + second), (-weight, first), (-weight, second))
-    terms = tuple(term for term in curvature_module._merge_terms(raw)
+    terms = tuple(term for term in _canonical(raw)
                   if not curvature_module._rank_at_most_one(term.matrix))
     gammas, alphas = (terms, ()) if kind == "gamma" else ((), terms)
     return CurvatureDecomposition(label, t.dim, gammas, alphas)
@@ -429,14 +433,22 @@ def test_decompositions_match_every_pair_reference():
         assert decompose_pure(t, "gamma") == _every_pair_reference(t, "gamma", "pure-gamma")
         assert decompose_pure(t, "alpha") == _every_pair_reference(t, "alpha", "pure-alpha")
         assert decompose_mixed(t) == _every_pair_reference(t, "alpha", "mixed")
-    # the two column facts that let the library slice only k <= l
-    for n in range(2, 6):
-        t = rand_curvature(random.Random(80 + n), n)
-        source = apply_symmetry_operator(canonical_elements().gamma_preimage, t)
-        for k, l in product(range(n), repeat=2):
-            assert _slab(t, l, k) == -_slab(t, k, l)
+    # the column facts that let the library slice only k <= l, read the
+    # alpha slabs as they are, and project the gamma source in one action
+    preimage = canonical_elements().gamma_preimage
+    first_pair_sum = GroupRingElement(4, [([1, 2, 3, 4], 1), ([2, 1, 3, 4], 1)])
+    tensors = [rand_curvature(random.Random(80 + n), n) for n in range(2, 6)]
+    for t in tensors + list(structured_curvatures().values()):
+        source = apply_symmetry_operator(preimage, t).scale(Fraction(1, 12))
+        projected = apply_symmetry_operator(
+            (first_pair_sum * preimage).scale(Fraction(1, 12)), t)
+        for k, l in product(range(t.dim), repeat=2):
+            slab = _slab(t, k, l)
+            assert slab.transpose() == -slab
+            assert _slab(t, l, k) == -slab
             forward, backward = _slab(source, k, l), _slab(source, l, k)
             assert backward + backward.transpose() == forward + forward.transpose()
+            assert _slab(projected, k, l) == forward + forward.transpose()
 
 
 def test_mixed_round_trip_clifford_shape():

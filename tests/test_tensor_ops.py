@@ -32,6 +32,7 @@ from symcurv.young import curvature_tableau, young_symmetrizer
 
 from helpers import (
     rand_fraction,
+    rand_matrix,
     rand_ring_element,
     rand_skew,
     rand_symmetric,
@@ -405,16 +406,38 @@ def test_slab_reads_the_entrywise_slice():
                 2, n, lambda ij: t[ij + (k, l)])
 
 
-def test_merge_order_helpers():
-    """The sign rule and the sort key of the decompositions' term merge."""
-    assert not tensor_ops_module._leads_negative(DenseTensor.zeros(2, 2))
-    assert tensor_ops_module._leads_negative(DenseTensor(2, 2, [0, "-1/3", 5, 0]))
-    assert not tensor_ops_module._leads_negative(DenseTensor(2, 2, [0, 0, "1/2", -7]))
-    ms = [DenseTensor(2, 2, values) for values in
-          ([0, "1/2", 0, 0], [0, "1/3", 1, 0], [0, "1/2", 0, "-1/5"], ["-1/7", 0, 0, 0])]
-    key = tensor_ops_module._value_order(ms)
-    entries = lambda m: [m[idx] for idx in m.indices()]
-    assert sorted(ms, key=key) == sorted(ms, key=entries)
+def test_canonical_terms_keep_the_gram_sum():
+    """The decompositions' canonical form: the same ``sum c M (x) M``, every
+    matrix once and led by a positive entry, no zero weight or matrix, and
+    the matrices in entrywise order."""
+    canonical, gram = tensor_ops_module._canonical_terms, tensor_ops_module._gram_sum
+    rng = random.Random(26)
+    m = DenseTensor(2, 2, [0, "-1/3", 5, 0])
+    mixed = [DenseTensor(2, 2, values) for values in
+             ([0, "1/2", 0, 0], [0, "1/3", 1, 0], [0, "1/2", 0, "-1/5"], ["-1/7", 0, 0, 0])]
+    cases = [
+        (2, []),
+        (2, [(Fraction(0), m), (Fraction(3), DenseTensor.zeros(2, 2))]),
+        (2, [(Fraction(1, 2), m), (Fraction(-1, 2), -m), (Fraction(1, 3), -m),
+             (Fraction(-1, 3), m)]),
+        (2, [(Fraction((-1) ** k * (k + 1), k + 2), x) for k, x in enumerate(mixed)]),
+        (1, [(Fraction(-2, 3), DenseTensor(2, 1, ["-5/7"])), (Fraction(3), DenseTensor(2, 1, [2])),
+             (Fraction(2, 3), DenseTensor(2, 1, ["5/7"]))]),
+    ]
+    for n in (1, 2, 3):
+        pool = [rand_matrix(rng, n) for _ in range(4)] + [DenseTensor.zeros(2, n)]
+        cases.append((n, [(rand_fraction(rng, -3, 3, 4), rng.choice((1, -1)) * rng.choice(pool))
+                          for _ in range(12)]))
+    entries = lambda x: [x[idx] for idx in x.indices()]
+    for n, terms in cases:
+        out = canonical(terms)
+        assert gram(n, out) == gram(n, terms)
+        matrices = [x for _, x in out]
+        assert all(c for c, _ in out) and len(set(matrices)) == len(matrices)
+        assert all(next(v for _, v in x.nonzero_items()) > 0 for x in matrices)
+        assert matrices == sorted(matrices, key=entries)
+    assert canonical(cases[1][1]) == canonical(cases[2][1]) == []
+    assert [x for _, x in canonical(cases[3][1])] == sorted(mixed[:3] + [-mixed[3]], key=entries)
 
 
 def test_slice_pairs_generic_count():
