@@ -40,7 +40,7 @@ from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from ._exact import Scalar, exact, json_int
-from .symgroup import GroupRingElement, solve_right_factor
+from .symgroup import GroupRingElement
 from .tensor_ops import (
     DenseTensor,
     _canonical_terms,
@@ -74,10 +74,10 @@ class CanonicalElements:
     idempotent half, which fixes every curvature tensor (so the alpha
     decomposition slices its input directly, without applying it).  The gamma
     and alpha generators span the same right ideal as ``symmetrizer_star``;
-    ``gamma_preimage`` is a fixed solution of
-    ``gamma_generator * x == symmetrizer_star`` (the gamma generator kills
-    ``symmetrizer_star`` from the left, so a rescaling argument is not
-    available on that side and an exact linear solve is used instead).
+    ``gamma_preimage`` is the stated solution ``-1/4 [1,3,2,4]`` of
+    ``gamma_generator * x == symmetrizer_star``, which ``canonical_elements``
+    checks (the gamma generator kills ``symmetrizer_star`` from the left, so
+    no rescaling of ``symmetrizer_star`` solves the equation).
     """
 
     symmetrizer: GroupRingElement
@@ -136,10 +136,10 @@ def canonical_elements() -> CanonicalElements:
     if reduce(mul, _SYMMETRIZER_FACTORS) != ystar:
         raise RuntimeError("the two-term factors do not multiply to the "
                            "starred symmetrizer")
-    preimage = solve_right_factor(gamma_gen, ystar)
-    if preimage is None or gamma_gen * preimage != ystar:
-        raise RuntimeError("no right factor maps the gamma generator onto "
-                           "the starred symmetrizer")
+    preimage = _ring(([1, 3, 2, 4], "-1/4"))
+    if gamma_gen * preimage != ystar:
+        raise RuntimeError("the stated gamma preimage does not map the gamma "
+                           "generator onto the starred symmetrizer")
     return CanonicalElements(
         symmetrizer=y,
         symmetrizer_star=ystar,
@@ -439,9 +439,12 @@ def _decomposition(tensor: DenseTensor, kind: str, label: str) -> CurvatureDecom
             second = DenseTensor._from_int_rows(unit, den)
             w = weight if k == l else 2 * weight
             raw += ((w, first + second), (-w, first), (-w, second))
-    # diagonal slices yield rank-1 terms, whose gamma is 0 (skew ranks are even)
-    merged = tuple(DecompositionTerm(1 if c > 0 else -1, abs(c), m)
-                   for c, m in _canonical_terms(raw) if not _rank_at_most_one(m))
+    terms = _canonical_terms(raw)
+    if kind == "gamma":
+        # diagonal slices yield rank-1 terms, whose gamma is 0; the nonzero
+        # skew alpha terms have even rank >= 2, so none of them is tested
+        terms = [(c, m) for c, m in terms if not _rank_at_most_one(m)]
+    merged = tuple(DecompositionTerm(1 if c > 0 else -1, abs(c), m) for c, m in terms)
     gammas, alphas = (merged, ()) if kind == "gamma" else ((), merged)
     return _checked(CurvatureDecomposition(label, n, gammas, alphas), tensor)
 

@@ -523,7 +523,7 @@ def sample_unit_vectors(g: Metric, sign: int, count: int,
         )
     count = min(count, 2) if g.dim == 1 else count
     anchor = _find_anchor(g, sign)
-    rows, _ = g._matrix._int_rows()
+    rows, gden = g._matrix._int_rows()
     nums, den = numerators(anchor)
     rng = random.Random(seed)
     points: list[Vector] = [anchor] if count > 0 else []
@@ -536,12 +536,14 @@ def sample_unit_vectors(g: Metric, sign: int, count: int,
         image = [sum(map(mul, row, d)) for row in rows]  # G d, and G is symmetric
         dd, ad = sum(map(mul, d, image)), sum(map(mul, nums, image))
         # a zero, isotropic or tangent direction meets the sphere only at the anchor
-        x = anchor if not dd else tuple(
-            Fraction(a * dd - 2 * ad * v, den * dd) for a, v in zip(nums, d))
+        xnum = [a * dd - 2 * ad * v for a, v in zip(nums, d)]  # x = xnum / (den dd)
+        x = anchor if not dd else tuple(Fraction(c, den * dd) for c in xnum)
         if x in seen:
             misses += 1
             continue
-        if g.inner(x, x) != sign:  # cannot happen; guards the algebra above
+        # cannot happen; guards the algebra above: g(x,x) == sign, on the integers
+        if sum(c * sum(map(mul, row, xnum)) for c, row in zip(xnum, rows)) \
+                != sign * gden * (den * dd) ** 2:
             raise RuntimeError("sphere sampling produced an off-sphere point")
         seen.add(x)
         points.append(x)

@@ -186,30 +186,20 @@ class DenseTensor:
     @staticmethod
     def from_nested(nested) -> "DenseTensor":
         """Build from nested lists, e.g. ``from_nested([[1, 0], [0, -1]])``."""
-        order = 0
-        probe = nested
+        order, probe = 0, nested
         while isinstance(probe, (list, tuple)):
-            order += 1
             if not probe:
                 raise ValueError("empty axis in nested data")
-            probe = probe[0]
+            order, probe = order + 1, probe[0]
         dim = len(nested) if order else 1
-
-        flat: list[Scalar] = []
-
-        def walk(node, depth: int) -> None:
-            if depth == order:
-                if isinstance(node, (list, tuple)):
-                    raise ValueError("ragged nested data")
-                flat.append(node)
-                return
-            if not isinstance(node, (list, tuple)) or len(node) != dim:
+        level = [nested]
+        for depth in range(order):
+            if any(not isinstance(node, (list, tuple)) or len(node) != dim for node in level):
                 raise ValueError(f"axis at depth {depth} must have length {dim}")
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        return DenseTensor(order, dim, flat)
+            level = [child for node in level for child in node]
+        if any(isinstance(node, (list, tuple)) for node in level):
+            raise ValueError("ragged nested data")
+        return DenseTensor(order, dim, level)
 
     @property
     def order(self) -> int:

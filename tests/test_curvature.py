@@ -581,6 +581,40 @@ def test_pure_gamma_terms_all_contribute():
         assert d.reconstruct() == t
 
 
+def _has_nonzero_minor(m: DenseTensor) -> bool:
+    """Reference: rank >= 2, read off the 2x2 minors of the entries."""
+    rows = m.rows
+    return any(rows[i][k] * rows[j][l] != rows[i][l] * rows[j][k]
+               for i, j in product(range(m.dim), repeat=2) if i < j
+               for k, l in product(range(m.dim), repeat=2) if k < l)
+
+
+def test_rank_filter_runs_on_gamma_terms_only(monkeypatch):
+    """A nonzero skew matrix has even rank >= 2, so no alpha term has its
+    rank tested; the gamma path still drops its rank-1 terms."""
+    verdicts = []
+    original = curvature_module._rank_at_most_one
+
+    def counting(matrix):
+        verdicts.append(original(matrix))
+        return verdicts[-1]
+
+    monkeypatch.setattr(curvature_module, "_rank_at_most_one", counting)
+    structured = structured_curvatures()
+    seeded = {n: rand_curvature(random.Random(46 + n), n) for n in range(1, 7)}
+    dropped = 0
+    for name, t in [*seeded.items(), *structured.items()]:
+        verdicts.clear()
+        alphas = decompose_mixed(t).alpha_terms + decompose_pure(t, "alpha").alpha_terms
+        assert verdicts == []
+        assert all(_has_nonzero_minor(term.matrix) for term in alphas)
+        d = decompose_pure(t, "gamma")
+        assert verdicts.count(False) == len(d.gamma_terms)
+        assert all(_has_nonzero_minor(term.matrix) for term in d.gamma_terms)
+        dropped += verdicts.count(True) if name in structured else 0
+    assert dropped > 0
+
+
 def test_decomposition_weights_positive_and_signs():
     rng = random.Random(43)
     d = decompose_mixed(rand_curvature(rng, 3))

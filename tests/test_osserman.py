@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import symcurv.osserman as osserman_module
 from symcurv import (
     DenseTensor,
     LinearMap,
@@ -931,6 +932,15 @@ def test_sample_unit_vectors_exact_and_deterministic():
         assert all(g.inner(x, x) == sign for x in xs)
         assert xs == sample_unit_vectors(g, sign, 12, seed=5)
         assert xs != sample_unit_vectors(g, sign, 12, seed=6)
+
+
+def test_sample_unit_vectors_guard_refuses_an_off_sphere_anchor(monkeypatch):
+    """Every drawn line through an anchor off the sphere meets the quadric
+    g(x,x) == g(anchor, anchor) != sign, so the integer guard must fire."""
+    monkeypatch.setattr(osserman_module, "_find_anchor",
+                        lambda g, sign: (Fraction(2), Fraction(0), Fraction(0)))
+    with pytest.raises(RuntimeError, match="off-sphere point"):
+        sample_unit_vectors(Metric.standard(3, 0), 1, 4, seed=1)
 
 
 def test_sample_unit_vectors_custom_metric():

@@ -18,6 +18,7 @@ from symcurv import (
     solve_right_factor,
     star,
 )
+import symcurv.curvature as curvature_module
 from symcurv.symgroup import _block_product, _value_blocks
 from symcurv.young import (
     curvature_tableau,
@@ -538,10 +539,16 @@ def test_solve_agrees_with_sympy():
 
 
 def test_gamma_preimage_is_pinned():
-    """``gamma_preimage`` feeds every pure-gamma decomposition, so the
-    solve's exact answer for it is fixed, not just its product."""
-    assert canonical_elements().gamma_preimage.to_json_dict() == {
+    """``gamma_preimage`` feeds every pure-gamma decomposition, so its exact
+    value is fixed, not just its product: the stated element is the one the
+    solver finds, and the curvature layer runs no solve of its own."""
+    e = canonical_elements()
+    stated = GroupRingElement(4, [([1, 3, 2, 4], "-1/4")])
+    assert e.gamma_preimage == stated == solve_right_factor(e.gamma_generator,
+                                                             e.symmetrizer_star)
+    assert e.gamma_preimage.to_json_dict() == {
         "r": 4, "terms": [{"perm": [1, 3, 2, 4], "coeff": "-1/4"}]}
+    assert not hasattr(curvature_module, "solve_right_factor")
 
 
 # ------------------------------------------------------------------- JSON form

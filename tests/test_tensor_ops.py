@@ -60,8 +60,16 @@ def _e2_star():
 def test_dense_tensor_shape_validation():
     with pytest.raises(ValueError):
         DenseTensor(2, 2, [1, 2, 3])  # wrong entry count
-    with pytest.raises(ValueError):
-        DenseTensor.from_nested([[1, 2], [3]])
+    for nested, message in (([[1, 2], [3]], "axis at depth 1 must have length 2"),
+                            ([[1, 2], 3], "axis at depth 1 must have length 2"),
+                            ([[1, 2], [3, 4], [5, 6]], "axis at depth 1 must have length 3"),
+                            ([[]], "empty axis in nested data"),
+                            ([], "empty axis in nested data"),
+                            ([[1, [2]], [3, 4]], "ragged nested data")):
+        with pytest.raises(ValueError, match=message):
+            DenseTensor.from_nested(nested)
+    scalar = DenseTensor.from_nested("3/4")  # order 0
+    assert (scalar.order, scalar.dim, scalar[()]) == (0, 1, Fraction(3, 4))
     with pytest.raises(TypeError):
         DenseTensor(1, 2, [0.5, 1])  # floats rejected
 
