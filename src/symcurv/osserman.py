@@ -24,12 +24,11 @@ from typing import Iterable, Mapping, Sequence
 
 from ._exact import Scalar, exact, json_int, numerators, row_reduce
 from .curvature import (
-    NotACurvatureTensor,
     _quadratic_sum,
+    _require_curvature,
     _require_skew,
     _require_symmetric,
     gamma,
-    is_algebraic_curvature,
 )
 from .tensor_ops import DenseTensor, _check_shape, _contract_middle
 
@@ -90,8 +89,7 @@ class Metric:
 
     def __init__(self, matrix):
         matrix = LinearMap(matrix)
-        if matrix.transpose() != matrix:
-            raise ValueError("metric matrix must be symmetric")
+        _require_symmetric(matrix)
         n = matrix.dim
         # [den*A | den*I] on integers; row i then reads row i of A^-1 over
         # its pivot, and over the lcm of the pivots
@@ -415,7 +413,7 @@ def jordan_family(coefficients: Sequence[Scalar],
                   cross_coefficients: Sequence[Sequence[Scalar]],
                   skews: Sequence[DenseTensor]) -> DenseTensor:
     """``T = sum c_i alpha(A_i) + 1/2 sum over i != j of c_ij alpha(A_i + A_j)``
-    with a symmetric cross-coefficient matrix."""
+    with symmetric c_ij: checks the counts and c_ij, then every A_i (even of weight 0)."""
     k = len(skews)
     cs = [exact(v) for v in coefficients]
     if len(cs) != k:
@@ -430,7 +428,7 @@ def jordan_family(coefficients: Sequence[Scalar],
     if k == 0:
         raise ValueError("need at least one skew matrix")
     # the (i, j) and (j, i) cross terms are equal: one term per pair i < j
-    terms = [(c, a) for c, a in zip(cs, skews) if c]
+    terms = list(zip(cs, skews))
     terms += [(cross[i][j], skews[i] + skews[j])
               for i in range(k) for j in range(i + 1, k) if cross[i][j]]
     return _quadratic_sum(skews[0].dim, (), terms)
@@ -469,6 +467,7 @@ def nilpotent_skew_example(p: int, q: int) -> DenseTensor:
 
 def sample_vectors(dim: int, count: int, seed: int = 0) -> list[Vector]:
     """Deterministic nonzero rational vectors with small entries."""
+    _check_shape(1, dim)
     rng = random.Random(seed)
     out: list[Vector] = []
     while len(out) < count:
@@ -580,11 +579,11 @@ class SpectrumReport:
 
 def osserman_spectrum_sample(tensor: DenseTensor, g: Metric, count: int,
                              sign: int, seed: int = 0) -> SpectrumReport:
-    """Sample the pseudo-unit sphere and report exact Jacobi spectra."""
-    if not is_algebraic_curvature(tensor):
-        raise NotACurvatureTensor("spectrum sampling needs a curvature tensor")
+    """Exact Jacobi spectra at sampled pseudo-unit vectors, after refusing a
+    dimension mismatch and then a non-curvature tensor (``_require_curvature``)."""
     if tensor.dim != g.dim:
         raise ValueError(f"tensor dimension {tensor.dim} != metric dimension {g.dim}")
+    _require_curvature(tensor)
     xs = sample_unit_vectors(g, sign, count, seed)
     roots = []
     remainders = []

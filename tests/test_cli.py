@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import symcurv
-from symcurv import (LinearMap, Metric, alpha, canonical_elements, gamma,
-                     tensor_product, verify_identity_table)
+from symcurv import (DenseTensor, LinearMap, Metric, NotACurvatureTensor, alpha,
+                     canonical_elements, decompose_pure, gamma, tensor_product,
+                     verify_identity_table)
 from symcurv.cli import COUNT_CAP, main
 
 from helpers import rand_curvature, rand_skew, rand_symmetric, rand_tensor
@@ -369,6 +370,41 @@ def test_osserman_spectrum_on_a_scaled_metric(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x = (1/2, 1/2, 0, 0, 0, 0)" in out
     assert "constant across samples: yes" in out
+
+
+def test_osserman_spectrum_refuses_a_non_curvature_tensor_like_decompose(tmp_path,
+                                                                       capsys):
+    not_curv = DenseTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
+    with pytest.raises(NotACurvatureTensor) as refused:
+        decompose_pure(not_curv, "alpha")
+    tensor_path, metric_path = tmp_path / "t.json", tmp_path / "g.json"
+    tensor_path.write_text(json.dumps(not_curv.to_json_dict()))
+    metric_path.write_text(json.dumps({"p": 2, "q": 0}))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+
+
+_SPECTRUM_REFUSALS = [
+    pytest.param(3, {"p": 4, "q": 0}, 2,
+                 "tensor dimension 3 does not match metric dimension 4",
+                 id="tensor and metric of different dimensions"),
+]
+
+
+@pytest.mark.parametrize("dim, metric, code, fragment", _SPECTRUM_REFUSALS)
+def test_osserman_spectrum_refusals(dim, metric, code, fragment, tmp_path, capsys):
+    tensor_path, metric_path = tmp_path / "t.json", tmp_path / "g.json"
+    tensor_path.write_text(json.dumps(rand_curvature(random.Random(4), dim).to_json_dict()))
+    metric_path.write_text(json.dumps(metric))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
 
 
 def test_osserman_nilpotent_ok(capsys):

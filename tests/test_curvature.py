@@ -1,14 +1,18 @@
 """Curvature constructors, membership criteria, and the three decompositions."""
 
+import ast
 import copy
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symcurv
 import symcurv.curvature as curvature_module
 import symcurv.tensor_ops as tensor_ops_module
 from symcurv import (
@@ -18,6 +22,7 @@ from symcurv import (
     DecompositionTerm,
     DenseTensor,
     GroupRingElement,
+    LinearMap,
     Metric,
     NotACurvatureTensor,
     alpha,
@@ -794,3 +799,50 @@ def test_approx_unit_terms_is_float_display():
         assert label in ("gamma", "alpha")
         assert sign in (1, -1)
         assert all(isinstance(v, float) for row in rows for v in row)
+
+
+# ------------------------------------------------------------------ refusals
+
+_REFUSALS = [
+    pytest.param(lambda: bianchi_defect(DenseTensor.zeros(2, 2)),
+                 "order-4 tensor required, got order 2", id="bianchi_defect of order 2"),
+    pytest.param(lambda: CurvatureDecomposition(
+                     "pure-gamma", 4, (DecompositionTerm(1, Fraction(1), LinearMap.identity(3)),),
+                     ()).reconstruct(),
+                 "matrix dimension 3 != 4", id="reconstruct of a matrix of another dimension"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", _REFUSALS)
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
+
+
+def _builders(tree: ast.AST, name: str) -> list[str | None]:
+    """The enclosing function (``None`` at module level) of every call of
+    ``name`` in ``tree``, in source order."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id",
+                                                       getattr(child.func, "attr", None)) == name:
+                found.append(owner)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_curvature_gate_builds_not_a_curvature_tensor():
+    """``curvature._require_curvature`` is the one membership gate: every
+    refusal of a tensor without the curvature symmetries goes through it, so
+    each names the first violated symmetry in the same words."""
+    builders = {}
+    for path in sorted(Path(symcurv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in _builders(tree, "NotACurvatureTensor"):
+            builders.setdefault(path.stem, []).append(owner)
+    assert builders == {"curvature": ["_require_curvature"]}

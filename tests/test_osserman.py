@@ -1,12 +1,14 @@
 """Metrics, Jacobi operators, exact spectra, and the nilpotent examples."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import symcurv.curvature as curvature_module
 import symcurv.osserman as osserman_module
 from symcurv import (
     DenseTensor,
@@ -18,6 +20,7 @@ from symcurv import (
     char_poly,
     clifford_check,
     clifford_family,
+    decompose_pure,
     gamma,
     jacobi_alpha_closed,
     jacobi_gamma_closed,
@@ -64,6 +67,15 @@ def test_metric_validation():
         Metric([[0, 1], [2, 0]])  # not symmetric
     with pytest.raises(ValueError):
         Metric([[1, 1], [1, 1]])  # singular
+
+
+def test_metric_and_gamma_refuse_a_non_symmetric_matrix_alike():
+    rows = [[0, 1], [2, 0]]
+    with pytest.raises(ValueError) as metric_error:
+        Metric(rows)
+    with pytest.raises(ValueError) as gamma_error:
+        gamma(_mat(rows))
+    assert str(metric_error.value) == str(gamma_error.value)
 
 
 def test_custom_metric_signature_and_inverse():
@@ -850,6 +862,14 @@ def test_jordan_family_validation():
         jordan_family([1, 1], [[0, 1], [2, 0]], [a1, a2])  # asymmetric cross
 
 
+def test_jordan_family_validates_matrices_of_weight_zero():
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        jordan_family([0], [[0]], [LinearMap.identity(2)])
+    rng = random.Random(71)
+    with pytest.raises(ValueError, match="matrix dimension 3 != 4"):
+        jordan_family([1, 0], [[0, 0], [0, 0]], [rand_skew(rng, 4), rand_skew(rng, 3)])
+
+
 # ----------------------------------------------------------- nilpotent examples
 
 def _f_rows(p, q):
@@ -1023,6 +1043,14 @@ def test_sample_vectors_deterministic():
     assert all(any(v for v in x) for x in xs)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sample_vectors_refuses_fewer_than_one_coordinate(dim):
+    # with no coordinates every draw is the zero vector, which is never kept.
+    # Run in a fresh process, so a loop that never ends fails here by timeout.
+    with pytest.raises(ValueError, match="bad shape"):
+        isolated(sample_vectors, [(dim, 1)], timeout=20)
+
+
 # ------------------------------------------------------------------- spectra
 
 def test_spectrum_of_zero_tensor():
@@ -1037,6 +1065,35 @@ def test_spectrum_requires_curvature():
     not_curv = DenseTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
     with pytest.raises(NotACurvatureTensor):
         osserman_spectrum_sample(not_curv, g, 4, 1)
+
+
+def test_spectrum_refusal_names_the_violated_symmetry_like_decompose():
+    g = Metric.standard(2, 0)
+    not_curv = DenseTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
+    with pytest.raises(NotACurvatureTensor) as sampled:
+        osserman_spectrum_sample(not_curv, g, 4, 1)
+    with pytest.raises(NotACurvatureTensor) as decomposed:
+        decompose_pure(not_curv, "alpha")
+    assert str(sampled.value) == str(decomposed.value)
+    assert str(sampled.value).endswith(": antisymmetry in the first index pair")
+
+
+def test_spectrum_checks_the_dimension_before_the_curvature(monkeypatch):
+    calls = []
+    original = curvature_module.check_curvature
+
+    def counting(tensor):
+        calls.append(tensor)
+        return original(tensor)
+
+    monkeypatch.setattr(curvature_module, "check_curvature", counting)
+    not_curv = DenseTensor.from_entries(4, 2, {(0, 0, 0, 0): 1})
+    for tensor, g in ((gamma(LinearMap.identity(3)), Metric.standard(2, 0)),
+                      (not_curv, Metric.standard(3, 0))):
+        with pytest.raises(ValueError, match="tensor dimension") as refused:
+            osserman_spectrum_sample(tensor, g, 4, 1)
+        assert type(refused.value) is ValueError
+    assert calls == []
 
 
 def test_nilpotent_gamma_tensor_vanishes_lorentzian():
@@ -1132,3 +1189,50 @@ def test_lorentz_checks_pass(q):
 def test_lorentz_checks_validation():
     with pytest.raises(ValueError):
         lorentz_checks(0, trials=5)
+
+
+# ---------------------------------------------------------------- refusals
+
+def _skew2():
+    return LinearMap([[0, 1], [-1, 0]])
+
+
+_REFUSALS = [
+    pytest.param(lambda: Metric.standard(2, 0).raise_form(DenseTensor.zeros(4, 2)),
+                 "order-2 tensor required, got order 4", id="raise_form of an order-4 form"),
+    pytest.param(lambda: Metric.standard(2, 0).raise_form(DenseTensor.zeros(2, 3)),
+                 "form dimension 3 != metric dimension 2", id="raise_form of another dimension"),
+    pytest.param(lambda: Metric.standard(2, 0).lower_map(LinearMap.identity(3)),
+                 "map dimension 3 != metric dimension 2", id="lower_map of another dimension"),
+    pytest.param(lambda: jacobi_operator(DenseTensor.zeros(2, 2), Metric.standard(2, 0), [1, 0]),
+                 "order-4 tensor required, got order 2", id="jacobi_operator of order 2"),
+    pytest.param(lambda: rational_roots([]), "leading coefficient must be nonzero",
+                 id="rational_roots of no coefficients"),
+    pytest.param(lambda: rational_roots([0, 1]), "leading coefficient must be nonzero",
+                 id="rational_roots with leading zero"),
+    pytest.param(lambda: clifford_check([LinearMap.identity(3)], Metric.standard(4, 0)),
+                 "map dimension 3 != metric dimension 4", id="clifford_check of a 3x3 map on R^4"),
+    pytest.param(lambda: clifford_family(1, [1, 2], [quaternion_triple()[0]],
+                                         Metric.standard(4, 0)),
+                 "2 coefficients for 1 maps", id="clifford_family with two coefficients"),
+    pytest.param(lambda: jordan_family([1], [[0, 1]], [_skew2()]),
+                 "cross-coefficient matrix must be 1x1", id="jordan_family with a 1x2 cross"),
+    pytest.param(lambda: jordan_family([], [], []), "need at least one skew matrix",
+                 id="jordan_family with no matrices"),
+    pytest.param(lambda: sample_unit_vectors(Metric.standard(2, 0), 0, 3),
+                 "sign must be +1 or -1, got 0", id="sample_unit_vectors of sign 0"),
+    # count 0 builds no Jacobi operator, so only the up-front check can refuse
+    pytest.param(lambda: osserman_spectrum_sample(DenseTensor.zeros(4, 3),
+                                                  Metric.standard(2, 0), 0, 1),
+                 "tensor dimension 3 != metric dimension 2",
+                 id="osserman_spectrum_sample of another dimension"),
+    pytest.param(lambda: nilpotency_check(DenseTensor.zeros(2, 2), Metric.standard(2, 0), 1),
+                 "order-4 tensor matching the metric dimension required",
+                 id="nilpotency_check of order 2"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", _REFUSALS)
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

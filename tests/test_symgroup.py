@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -596,3 +597,27 @@ def test_constructor_refuses_non_integer_degree(degree, terms):
 def test_json_refuses_boolean_coefficient():
     with pytest.raises(TypeError, match="bool"):
         GroupRingElement.from_json_dict({"r": 2, "terms": [{"perm": [2, 1], "coeff": True}]})
+
+
+# ------------------------------------------------------------------ refusals
+
+_REFUSALS = [
+    pytest.param(lambda: Permutation.from_cycles(3, (1, 4)), "bad cycle entry 4 for degree 3",
+                 id="cycle entry past the degree"),
+    pytest.param(lambda: Permutation([2, 1, 3])(0), "argument 0 outside 1..3",
+                 id="permutation applied to 0"),
+    pytest.param(lambda: GroupRingElement(0), "degree must be >= 1, got 0",
+                 id="element of degree 0"),
+    pytest.param(lambda: GroupRingElement(4, [([2, 1, 3], 1)]),
+                 "term degree 3 != element degree 4", id="degree-3 term in degree 4"),
+    pytest.param(lambda: GroupRingElement.from_json_dict({"r": 0}), "'r' must be positive, got 0",
+                 id="JSON of degree 0"),
+    pytest.param(lambda: solve_right_factor(GroupRingElement.one(3), GroupRingElement.one(4)),
+                 "degree mismatch: 3 vs 4", id="solve across degrees 3 and 4"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", _REFUSALS)
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

@@ -485,3 +485,41 @@ def test_action_linearity(xs, ys):
     ystar = canonical_elements().symmetrizer_star
     assert (apply_symmetry_operator(ystar, t1 + t2)
             == apply_symmetry_operator(ystar, t1) + apply_symmetry_operator(ystar, t2))
+
+
+# ------------------------------------------------------------------ refusals
+
+_REFUSALS = [
+    pytest.param(lambda: DenseTensor.zeros(4, 0), "bad shape: order=4, dim=0",
+                 id="zeros of dimension 0"),
+    pytest.param(lambda: DenseTensor.from_entries(2, 2, {(0, 2): 1}),
+                 "index (0, 2) out of range for order 2, dim 2", id="from_entries out of range"),
+    pytest.param(lambda: LinearMap.identity(2)([1, 2, 3]), "vector length 3 != dimension 2",
+                 id="2x2 matrix applied to a 3-vector"),
+    pytest.param(lambda: tensor_product(DenseTensor.zeros(4, 2), DenseTensor.zeros(2, 2)),
+                 "need two order-2 tensors, got orders 4, 2", id="tensor_product of orders 4, 2"),
+    pytest.param(lambda: slice_pairs(DenseTensor.zeros(2, 2)), "slice_pairs needs order 4, got 2",
+                 id="slice_pairs of order 2"),
+    pytest.param(lambda: sym_split(DenseTensor.zeros(4, 2)), "sym_split needs order 2, got 4",
+                 id="sym_split of order 4"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", _REFUSALS)
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
+
+
+_EDGE_PATHS = [
+    pytest.param(lambda: apply_symmetry_operator(GroupRingElement(4),
+                                                 rand_tensor(random.Random(7), 4, 3)),
+                 DenseTensor.zeros(4, 3), id="the zero element acts as zero"),
+    pytest.param(lambda: DenseTensor.zeros(0, 3).to_nested(), 0,
+                 id="an order-0 tensor nests as its one value"),
+]
+
+
+@pytest.mark.parametrize("call, expected", _EDGE_PATHS)
+def test_edge_paths(call, expected):
+    assert call() == expected

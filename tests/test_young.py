@@ -1,6 +1,7 @@
 """Partitions, tableaux, symmetrizers, derivative idempotents."""
 
 import itertools
+import re
 
 import pytest
 
@@ -203,3 +204,21 @@ def test_json_forms():
     t = curvature_tableau()
     assert t.to_json_dict() == {"rows": [[1, 3], [2, 4]]}
     assert YoungTableau.from_json_dict({"rows": [[1, 3], [2, 4]]}) == t
+
+
+# ------------------------------------------------------------------ refusals
+
+_REFUSALS = [
+    pytest.param(lambda: partitions_of(-1), "cannot partition -1", id="partitions_of(-1)"),
+    pytest.param(lambda: YoungTableau([[1, 2], []]), "tableau rows must be nonempty",
+                 id="tableau with an empty row"),
+    pytest.param(lambda: standard_tableaux(Partition(())),
+                 "empty shape has no tableau representation here",
+                 id="standard tableaux of the empty shape"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", _REFUSALS)
+def test_refusals(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
