@@ -83,11 +83,14 @@ def numerators(values: Collection[Fraction]) -> tuple[list[int], int]:
 
 def reduced(ints: Collection[int], den: int) -> tuple[Collection[int], int]:
     """``ints`` over ``den > 0`` with their common gcd divided out (``ints``
-    itself when it is 1); without numerators the denominator becomes 1."""
+    itself when it is 1, or when every numerator is 0, over 1); without
+    numerators the denominator becomes 1."""
     common = gcd(den, *ints)
-    if common > 1:
-        return [v // common for v in ints], den // common
-    return ints, den
+    if common == 1:
+        return ints, den
+    if common == den and not any(ints):
+        return ints, 1
+    return [v // common for v in ints], den // common
 
 
 def row_reduce(rows: list[list[int]], ncols: int) -> list[int]:

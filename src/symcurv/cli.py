@@ -172,8 +172,8 @@ def cmd_decompose(args) -> Report:
         decomposition = decompose_mixed(tensor)
     else:
         decomposition = decompose_pure(tensor, args.mode)
-    # decompose_* return only after comparing their exact reconstruction
-    # with the input; a mismatch raises instead.
+    # decompose_* return only after checking exactly that their terms sum
+    # to the input; a mismatch raises instead.
     payload = decomposition.to_json_dict()
     payload["reconstruction_exact"] = True
     if not args.out:

@@ -27,7 +27,11 @@ Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The symmetrizer test applies
 ``canonical_elements`` checks once.  ``decompose_pure`` (and
 ``decompose_mixed``, its alpha-only alias) projects its source once,
 polarizes the n(n+-1)/2 slices k <= l, puts the terms in canonical form
-with ``tensor_ops._canonical_terms`` and checks the reconstruction exactly.
+with ``tensor_ops._canonical_terms`` and checks the result exactly without
+rebuilding it: the source and every sum of gammas and alphas are curvature
+tensors, which their curvature operators ``B[(ij),(kl)] = T[i,j,k,l]``
+(i < j, k < l, read by ``tensor_ops._operator_rows``) determine, so the
+check compares the m(m+1)/2 entries ``(ij) <= (kl)``, m = n(n-1)/2.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
-from ._exact import Scalar, exact, json_int
+from ._exact import Scalar, exact, json_int, numerators
 from .symgroup import GroupRingElement
 from .tensor_ops import (
     DenseTensor,
     _canonical_terms,
     _gram_sum,
     _nonzero_count,
+    _operator_rows,
     _slab,
     apply_symmetry_operator,
 )
@@ -408,7 +413,51 @@ def _rank_at_most_one(matrix: DenseTensor) -> bool:
 
 def _checked(decomposition: CurvatureDecomposition,
              source: DenseTensor) -> CurvatureDecomposition:
-    if decomposition.reconstruct() != source:
+    """``decomposition``, once its sum is shown to equal ``source`` exactly.
+
+    Both are curvature tensors (``source`` passed ``_require_curvature``,
+    and every sum of gammas and alphas is one), and a curvature tensor is
+    determined by its curvature operator ``B[(ij),(kl)] = T[i,j,k,l]``,
+    i < j and k < l: the antisymmetries give every other entry, and the
+    pair exchange makes B symmetric.  So the two are compared on the
+    m(m+1)/2 entries with ``(ij) <= (kl)``, m = n(n-1)/2.  The sum's
+    entries come from the Gram form ``Q = sum c vec(M) vec(M)^T`` of each
+    kind, over the positions i <= j of the gamma matrices and i < j of the
+    skew alpha matrices: ``3 B = Q[il,jk] - Q[ik,jl]`` for gammas and
+    ``3 B = 2 Q[ij,kl] + Q[ik,jl] - Q[il,jk]`` for alphas.
+    """
+    n = decomposition.dim
+    groups = [[(t.sign * t.weight, *t.matrix._int_rows()) for t in terms]
+              for terms in (decomposition.gamma_terms, decomposition.alpha_terms)]
+    scales, common = numerators([c / (den * den) for group in groups for c, _, den in group])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entries = [(i, j, k, l) for p, (i, j) in enumerate(pairs) for k, l in pairs[p:]]
+    sums = [0] * len(entries)
+    for group, skew, (x, y, z) in zip(groups, (0, 1), ((0, -1, 1), (2, 1, -1))):
+        weights, scales = scales[:len(group)], scales[len(group):]
+        if not group:
+            continue
+        places = [(a, b) for a in range(n) for b in range(a + skew, n)]
+        # (position in Q, sign) of each matrix entry; a skew diagonal reads 0
+        at = [[(0, 0)] * n for _ in range(n)]
+        for p, (a, b) in enumerate(places):
+            at[a][b], at[b][a] = (p, 1), (p, 1 - 2 * skew)
+        columns = [[rows[a][b] for _, rows, _ in group] for a, b in places]
+        gram = [[0] * len(places) for _ in places]
+        for p, column in enumerate(columns):
+            weighted = list(map(mul, weights, column))
+            for q in range(p, len(places)):
+                gram[p][q] = gram[q][p] = sum(map(mul, weighted, columns[q]))
+
+        def form(a, b, c, d):
+            (p, s), (q, t) = at[a][b], at[c][d]
+            return s * t * gram[p][q]
+
+        sums = [total + x * form(i, j, k, l) + y * form(i, k, j, l) + z * form(i, l, j, k)
+                for total, (i, j, k, l) in zip(sums, entries)]
+    rows, den = _operator_rows(source)
+    target = [v for p, row in enumerate(rows) for v in row[p:]]
+    if any(u * den != 3 * common * v for u, v in zip(sums, target)):
         raise RuntimeError(
             f"{decomposition.kind} decomposition failed to reconstruct its "
             "input exactly; this is a bug"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, dropwhile, islice, product, zip_longest
+from itertools import chain, count, dropwhile, islice, product, zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul, not_
 from typing import Iterable, Mapping, Sequence
@@ -427,11 +427,11 @@ def jordan_family(coefficients: Sequence[Scalar],
                 raise ValueError("cross coefficients must be symmetric")
     if k == 0:
         raise ValueError("need at least one skew matrix")
-    # the (i, j) and (j, i) cross terms are equal: one term per pair i < j
-    terms = list(zip(cs, skews))
-    terms += [(cross[i][j], skews[i] + skews[j])
-              for i in range(k) for j in range(i + 1, k) if cross[i][j]]
-    return _quadratic_sum(skews[0].dim, (), terms)
+    # the (i, j) and (j, i) cross terms are equal: one term per pair i < j;
+    # the sums are formed lazily, after _quadratic_sum has checked every A_i
+    crossed = ((cross[i][j], skews[i] + skews[j])
+               for i in range(k) for j in range(i + 1, k) if cross[i][j])
+    return _quadratic_sum(skews[0].dim, (), chain(zip(cs, skews), crossed))
 
 
 def nilpotent_sym_example(p: int, q: int) -> DenseTensor:

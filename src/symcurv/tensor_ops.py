@@ -28,8 +28,9 @@ apart, as C-level ``range`` runs.  ``_contract_middle`` is the Jacobi
 contraction ``T(a, x, x, d)``.
 
 No other module reads or writes the flat numerators: they reach them only
-through ``_int_rows``, ``_from_int_rows``, ``_slab``, ``_gram_sum``,
-``_canonical_terms``, ``_contract_middle`` and ``_nonzero_count``.
+through ``_int_rows``, ``_from_int_rows``, ``_slab``, ``_operator_rows``,
+``_gram_sum``, ``_canonical_terms``, ``_contract_middle`` and
+``_nonzero_count``.
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
 action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
@@ -492,6 +493,15 @@ def _slab(tensor: DenseTensor, k: int, l: int) -> DenseTensor:
     """The matrix ``M[i,j] = T[i,j,k,l]`` of an order-4 ``T``."""
     n = tensor.dim
     return DenseTensor._unchecked(2, n, tensor._ints[k * n + l::n * n], tensor._den)
+
+
+def _operator_rows(tensor: DenseTensor) -> tuple[list[list[int]], int]:
+    """The curvature operator of an order-4 ``T`` as integer rows over the
+    denominator of ``T``: ``B[(ij),(kl)] = T[i,j,k,l]`` for the pairs
+    ``i < j`` and ``k < l``, in lexicographic order."""
+    n, ints = tensor.dim, tensor._ints
+    pairs = [i * n + j for i in range(n) for j in range(i + 1, n)]
+    return [[ints[p * n * n + q] for q in pairs] for p in pairs], tensor._den
 
 
 def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:

@@ -746,6 +746,53 @@ def test_tampered_decomposition_fails_self_check():
         assert curvature_module._checked(d, t) is d
 
 
+def _tampered(d: CurvatureDecomposition):
+    """``d`` with its first term dropped, its weight doubled and its sign
+    flipped, one at a time."""
+    field = "gamma_terms" if d.gamma_terms else "alpha_terms"
+    first, rest = getattr(d, field)[0], getattr(d, field)[1:]
+    for terms in (rest, (first._replace(weight=2 * first.weight),) + rest,
+                  (first._replace(sign=-first.sign),) + rest):
+        yield replace(d, **{field: terms})
+
+
+@pytest.mark.parametrize("kind", ["gamma", "alpha"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_self_check_rejects_a_dropped_term_a_doubled_weight_and_a_flipped_sign(kind, n):
+    t = rand_curvature(random.Random(n), n, 3)
+    d = decompose_pure(t, kind)
+    for broken in _tampered(d):
+        with pytest.raises(RuntimeError, match="failed to reconstruct"):
+            curvature_module._checked(broken, t)
+
+
+def test_self_check_on_the_operator_agrees_with_the_rebuild(monkeypatch):
+    """``_checked`` compares curvature operators and never rebuilds; on
+    every decomposition, tampered or not, and on a sum of both kinds, it
+    accepts exactly when ``reconstruct() == T``."""
+    tensors = [rand_curvature(random.Random(n), n, 3) for n in range(1, 9)]
+    tensors += structured_curvatures().values()
+    tensors.append(DenseTensor.zeros(4, 4))
+    checked = []
+    for t in tensors:
+        gammas, alphas = decompose_pure(t, "gamma"), decompose_pure(t, "alpha")
+        flipped = tuple(term._replace(sign=-term.sign) for term in alphas.alpha_terms)
+        both = CurvatureDecomposition("mixed", t.dim, gammas.gamma_terms, flipped)
+        cases = [(gammas, t), (alphas, t), (both, DenseTensor.zeros(4, t.dim))]
+        cases += [(broken, t) for d in (gammas, alphas) if d.term_count
+                  for broken in _tampered(d)]
+        checked += [(d, source, d.reconstruct() == source) for d, source in cases]
+    monkeypatch.setattr(CurvatureDecomposition, "reconstruct", None)
+    for d, source, equal in checked:
+        try:
+            curvature_module._checked(d, source)
+        except RuntimeError:
+            assert not equal
+        else:
+            assert equal
+    assert any(equal for *_, equal in checked) and not all(equal for *_, equal in checked)
+
+
 def test_reconstruct_validates_every_matrix():
     not_symmetric = DenseTensor.from_nested([[1, 2], [0, 1]])
     not_skew = DenseTensor.from_nested([[0, 1], [1, 0]])

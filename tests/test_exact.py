@@ -1,5 +1,5 @@
-"""The exact kernels: ``_exact.numerators`` and the integer Gauss-Jordan
-``_exact.row_reduce`` against sympy."""
+"""The exact kernels: ``_exact.numerators``, ``_exact.reduced`` and the
+integer Gauss-Jordan ``_exact.row_reduce`` against sympy."""
 
 import math
 import random
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcurv._exact import EXPONENT_CAP, exact, numerators, row_reduce
+from symcurv._exact import EXPONENT_CAP, exact, numerators, reduced, row_reduce
 
 
 def test_numerators_over_the_least_common_denominator():
@@ -25,6 +25,20 @@ def test_numerators_cases():
     assert numerators([Fraction(-1, 2), Fraction(3, 4)]) == ([-2, 3], 4)
     assert numerators([Fraction(-5, 6), Fraction(0), Fraction(2)]) == ([-5, 0, 12], 6)
     assert numerators([]) == ([], 1)
+
+
+@pytest.mark.parametrize("ints,den,expected", [
+    ((0, 0, 0), 6, ((0, 0, 0), 1)),  # all zero: the input itself, over 1
+    ((), 4, ((), 1)),
+    ((2, -4), 6, ([1, -2], 3)),
+    ((6, 0), 6, ([1, 0], 1)),
+    ((3, 5), 4, ((3, 5), 4)),  # lowest terms already: the input itself
+])
+def test_reduced_cases(ints, den, expected):
+    result = reduced(ints, den)
+    assert result == expected
+    if expected[0] is ints:
+        assert result[0] is ints
 
 
 @pytest.mark.parametrize("value", [True, False, 0.5, 2.0])

@@ -870,6 +870,14 @@ def test_jordan_family_validates_matrices_of_weight_zero():
         jordan_family([1, 0], [[0, 0], [0, 0]], [rand_skew(rng, 4), rand_skew(rng, 3)])
 
 
+@pytest.mark.parametrize("cross", [0, 1])
+def test_jordan_family_checks_every_matrix_before_forming_a_cross_sum(cross):
+    # a nonzero cross coefficient must not reach skews[0] + skews[1] first
+    rng = random.Random(72)
+    with pytest.raises(ValueError, match=r"^matrix dimension 3 != 2$"):
+        jordan_family([1, 1], [[0, cross], [cross, 0]], [rand_skew(rng, 2), rand_skew(rng, 3)])
+
+
 # ----------------------------------------------------------- nilpotent examples
 
 def _f_rows(p, q):

@@ -31,6 +31,7 @@ from symcurv import (
 from symcurv.young import curvature_tableau, young_symmetrizer
 
 from helpers import (
+    rand_curvature,
     rand_fraction,
     rand_matrix,
     rand_ring_element,
@@ -111,7 +112,8 @@ def test_index_entries_must_be_integers():
 
 def test_flat_numerators_stay_inside_tensor_ops():
     """Only ``tensor_ops`` reads or writes the stored numerators; the other
-    modules go through its private helpers (``_int_rows``, ``_slab``, ...)."""
+    modules go through its private helpers (``_int_rows``, ``_slab``,
+    ``_operator_rows``, ...)."""
     touch = re.compile(r"\._ints|\._den\b|\._unchecked\(")
     for module in (symcurv.curvature, symcurv.osserman, symcurv.cli):
         with open(module.__file__, encoding="utf-8") as source:
@@ -412,6 +414,18 @@ def test_slab_reads_the_entrywise_slice():
         for k, l in product(range(n), repeat=2):
             assert tensor_ops_module._slab(t, k, l) == DenseTensor.from_function(
                 2, n, lambda ij: t[ij + (k, l)])
+
+
+def test_operator_rows_read_the_curvature_operator():
+    rng = random.Random(27)
+    tensors = list(structured_curvatures().values())
+    tensors += [rand_curvature(random.Random(n), n, 3) for n in range(1, 9)]
+    tensors += [rand_tensor(rng, 4, n) for n in (1, 2, 3)] + [DenseTensor.zeros(4, 4)]
+    for t in tensors:
+        pairs = [(i, j) for i in range(t.dim) for j in range(i + 1, t.dim)]
+        rows, den = tensor_ops_module._operator_rows(t)
+        assert [[Fraction(v, den) for v in row] for row in rows] == [
+            [t[p + q] for q in pairs] for p in pairs]
 
 
 def test_canonical_terms_keep_the_gram_sum():
