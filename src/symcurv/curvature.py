@@ -15,10 +15,12 @@ are in their docstrings):
 * ``alpha(A) = (1/3)(2 id + [1,3,2,4] - [1,4,2,3]) (A (x) A)``, A skew,
 
 and every algebraic curvature tensor is a signed rational combination of
-gammas and alphas.  One routine, ``_quadratic_sum``, builds every such
-combination: ``gamma`` and ``alpha`` are its one-term cases, and
-``CurvatureDecomposition.reconstruct`` and the Osserman families call it
-too.  The direct membership test applies elements too: the annihilators
+gammas and alphas.  One kernel, ``_operator_sum``, evaluates every such
+combination as its curvature operator ``B[(ij),(kl)] = T[i,j,k,l]``
+(i < j, k < l), which determines a curvature tensor; ``_quadratic_sum``
+writes B out (``tensor_ops._from_operator_rows``) for ``gamma``,
+``alpha``, ``CurvatureDecomposition.reconstruct`` and the Osserman
+families.  The direct membership test applies elements: the annihilators
 ``id + [2,1,3,4]``, ``id + [1,2,4,3]`` and ``id - [3,4,1,2]`` and the
 Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The symmetrizer test applies
 ``ystar`` as its four two-term factors, right to left,
@@ -28,10 +30,7 @@ Bianchi sum ``id + [1,3,4,2] + [1,4,2,3]``.  The symmetrizer test applies
 ``decompose_mixed``, its alpha-only alias) projects its source once,
 polarizes the n(n+-1)/2 slices k <= l, puts the terms in canonical form
 with ``tensor_ops._canonical_terms`` and checks the result exactly without
-rebuilding it: the source and every sum of gammas and alphas are curvature
-tensors, which their curvature operators ``B[(ij),(kl)] = T[i,j,k,l]``
-(i < j, k < l, read by ``tensor_ops._operator_rows``) determine, so the
-check compares the m(m+1)/2 entries ``(ij) <= (kl)``, m = n(n-1)/2.
+building it, on the m(m+1)/2 entries ``(ij) <= (kl)`` of B, m = n(n-1)/2.
 """
 
 from __future__ import annotations
@@ -40,15 +39,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._exact import Scalar, exact, json_int, numerators
 from .symgroup import GroupRingElement
 from .tensor_ops import (
     DenseTensor,
     _canonical_terms,
-    _gram_sum,
+    _check_shape,
+    _from_operator_rows,
     _nonzero_count,
     _operator_rows,
     _slab,
@@ -101,8 +102,6 @@ def _ring(*terms) -> GroupRingElement:
 
 
 _ID, _T12, _T34, _SWAP = [1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 4, 3], [3, 4, 1, 2]
-_GAMMA = _ring(([1, 4, 2, 3], "1/3"), ([1, 3, 2, 4], "-1/3"))
-_ALPHA = _ring((_ID, "2/3"), ([1, 3, 2, 4], "1/3"), ([1, 4, 2, 3], "-1/3"))
 _BIANCHI = _ring((_ID, 1), ([1, 3, 4, 2], 1), ([1, 4, 2, 3], 1))
 _FIRST_PAIR_SUM = _ring((_ID, 1), (_T12, 1))
 _DIRECT_CONDITIONS = (
@@ -198,31 +197,68 @@ def bianchi_defect(tensor: DenseTensor) -> DenseTensor:
 def _quadratic_sum(dim: int,
                    gamma_terms: Iterable[tuple[Scalar, DenseTensor]],
                    alpha_terms: Iterable[tuple[Scalar, DenseTensor]]) -> DenseTensor:
-    """``sum c * gamma(S) + sum c * alpha(A)`` over ``(c, S)`` and ``(c, A)``.
-
-    Both maps are linear in the tensor square, so each kind costs one
-    accumulation ``tensor_ops._gram_sum`` of ``sum c * vec(M) vec(M)^T`` and
-    one application of its group-ring element; a kind without nonzero terms
-    is skipped.  Every gamma matrix must be symmetric and every alpha
-    matrix skew, each of order 2 and dimension ``dim``; zero weights are
-    skipped after that check.
-    """
-    parts = []
-    for element, require, terms in ((_GAMMA, _require_symmetric, gamma_terms),
-                                    (_ALPHA, _require_skew, alpha_terms)):
-        weighted = []
+    """``sum c * gamma(S) + sum c * alpha(A)`` over ``(c, S)`` and ``(c, A)``,
+    written out from its ``_operator_sum``.  The shape must fit the entry
+    cap, and every gamma matrix must be symmetric and every alpha matrix
+    skew, each of order 2 and dimension ``dim``."""
+    _check_shape(4, dim)
+    kinds = []
+    for require, terms in ((_require_symmetric, gamma_terms), (_require_skew, alpha_terms)):
+        checked = []
         for c, m in terms:
             require(m)
             if m.dim != dim:
                 raise ValueError(f"matrix dimension {m.dim} != {dim}")
-            c = exact(c)
-            if c:
-                weighted.append((c, m))
-        if weighted:
-            parts.append(apply_symmetry_operator(element, _gram_sum(dim, weighted)))
-    if not parts:
-        return DenseTensor.zeros(4, dim)
-    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+            checked.append((exact(c), m))
+        kinds.append(checked)
+    return _from_operator_rows(*_operator_sum(dim, *kinds), dim)
+
+
+def _operator_sum(n: int, gamma_terms: Sequence[tuple[Fraction, DenseTensor]],
+                  alpha_terms: Sequence[tuple[Fraction, DenseTensor]]
+                  ) -> tuple[list[list[int]], int]:
+    """``_operator_rows`` of ``sum c * gamma(S) + sum c * alpha(A)``, from
+    matrices taken to be symmetric and skew, without validation.
+
+    Both maps are linear in the tensor square, so each kind is read through
+    its Gram form ``Q = sum c vec(M) vec(M)^T`` over the positions i <= j
+    of the symmetric and i < j of the skew matrices:
+    ``3 B = Q[il,jk] - Q[ik,jl]`` for gammas and
+    ``3 B = 2 Q[ij,kl] + Q[ik,jl] - Q[il,jk]`` for alphas, evaluated on the
+    entries ``(ij) <= (kl)`` of the symmetric B.
+    """
+    groups = [[(c, *m._int_rows()) for c, m in terms] for terms in (gamma_terms, alpha_terms)]
+    scales, common = numerators([c / (den * den) for group in groups for c, _, den in group])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entries = [(i, j, k, l) for p, (i, j) in enumerate(pairs) for k, l in pairs[p:]]
+    sums = [0] * len(entries)
+    # the coefficients of Q[ij,kl], Q[ik,jl] and Q[il,jk] in 3 B, per kind
+    for group, skew, (x, y, z) in zip(groups, (0, 1), ((0, -1, 1), (2, 1, -1))):
+        weights, scales = scales[:len(group)], scales[len(group):]
+        if not group:
+            continue
+        places = [(a, b) for a in range(n) for b in range(a + skew, n)]
+        # (position in Q, sign) of each matrix entry; a skew diagonal reads 0
+        at = [[(0, 0)] * n for _ in range(n)]
+        for p, (a, b) in enumerate(places):
+            at[a][b], at[b][a] = (p, 1), (p, 1 - 2 * skew)
+        columns = [[ints[a][b] for _, ints, _ in group] for a, b in places]
+        gram = [[0] * len(places) for _ in places]
+        for p, column in enumerate(columns):
+            weighted = list(map(mul, weights, column))
+            for q in range(p, len(places)):
+                gram[p][q] = gram[q][p] = sum(map(mul, weighted, columns[q]))
+
+        def form(a, b, c, d):
+            (p, s), (q, t) = at[a][b], at[c][d]
+            return s * t * gram[p][q]
+
+        sums = [total + x * form(i, j, k, l) + y * form(i, k, j, l) + z * form(i, l, j, k)
+                for total, (i, j, k, l) in zip(sums, entries)]
+    # row p of B is column p above the diagonal, then the entries (p, q >= p)
+    m, values = len(pairs), iter(sums)
+    tails = [list(islice(values, m - p)) for p in range(m)]
+    return [[tails[q][p - q] for q in range(p)] + tails[p] for p in range(m)], 3 * common
 
 
 @dataclass(frozen=True)
@@ -326,12 +362,12 @@ class CurvatureDecomposition:
     gamma_terms: tuple[DecompositionTerm, ...]
     alpha_terms: tuple[DecompositionTerm, ...]
 
+    def _weighted(self) -> list[list[tuple[Fraction, DenseTensor]]]:
+        return [[(t.sign * t.weight, t.matrix) for t in terms]
+                for terms in (self.gamma_terms, self.alpha_terms)]
+
     def reconstruct(self) -> DenseTensor:
-        return _quadratic_sum(
-            self.dim,
-            [(t.sign * t.weight, t.matrix) for t in self.gamma_terms],
-            [(t.sign * t.weight, t.matrix) for t in self.alpha_terms],
-        )
+        return _quadratic_sum(self.dim, *self._weighted())
 
     @property
     def term_count(self) -> int:
@@ -416,48 +452,14 @@ def _checked(decomposition: CurvatureDecomposition,
     """``decomposition``, once its sum is shown to equal ``source`` exactly.
 
     Both are curvature tensors (``source`` passed ``_require_curvature``,
-    and every sum of gammas and alphas is one), and a curvature tensor is
-    determined by its curvature operator ``B[(ij),(kl)] = T[i,j,k,l]``,
-    i < j and k < l: the antisymmetries give every other entry, and the
-    pair exchange makes B symmetric.  So the two are compared on the
-    m(m+1)/2 entries with ``(ij) <= (kl)``, m = n(n-1)/2.  The sum's
-    entries come from the Gram form ``Q = sum c vec(M) vec(M)^T`` of each
-    kind, over the positions i <= j of the gamma matrices and i < j of the
-    skew alpha matrices: ``3 B = Q[il,jk] - Q[ik,jl]`` for gammas and
-    ``3 B = 2 Q[ij,kl] + Q[ik,jl] - Q[il,jk]`` for alphas.
-    """
-    n = decomposition.dim
-    groups = [[(t.sign * t.weight, *t.matrix._int_rows()) for t in terms]
-              for terms in (decomposition.gamma_terms, decomposition.alpha_terms)]
-    scales, common = numerators([c / (den * den) for group in groups for c, _, den in group])
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    entries = [(i, j, k, l) for p, (i, j) in enumerate(pairs) for k, l in pairs[p:]]
-    sums = [0] * len(entries)
-    for group, skew, (x, y, z) in zip(groups, (0, 1), ((0, -1, 1), (2, 1, -1))):
-        weights, scales = scales[:len(group)], scales[len(group):]
-        if not group:
-            continue
-        places = [(a, b) for a in range(n) for b in range(a + skew, n)]
-        # (position in Q, sign) of each matrix entry; a skew diagonal reads 0
-        at = [[(0, 0)] * n for _ in range(n)]
-        for p, (a, b) in enumerate(places):
-            at[a][b], at[b][a] = (p, 1), (p, 1 - 2 * skew)
-        columns = [[rows[a][b] for _, rows, _ in group] for a, b in places]
-        gram = [[0] * len(places) for _ in places]
-        for p, column in enumerate(columns):
-            weighted = list(map(mul, weights, column))
-            for q in range(p, len(places)):
-                gram[p][q] = gram[q][p] = sum(map(mul, weighted, columns[q]))
-
-        def form(a, b, c, d):
-            (p, s), (q, t) = at[a][b], at[c][d]
-            return s * t * gram[p][q]
-
-        sums = [total + x * form(i, j, k, l) + y * form(i, k, j, l) + z * form(i, l, j, k)
-                for total, (i, j, k, l) in zip(sums, entries)]
-    rows, den = _operator_rows(source)
-    target = [v for p, row in enumerate(rows) for v in row[p:]]
-    if any(u * den != 3 * common * v for u, v in zip(sums, target)):
+    and every sum of gammas and alphas is one), so their curvature
+    operators B decide equality: the antisymmetries give every other entry,
+    and the pair exchange makes B symmetric.  So the two B's are compared
+    on the m(m+1)/2 entries ``(ij) <= (kl)``, m = n(n-1)/2."""
+    built, common = _operator_sum(decomposition.dim, *decomposition._weighted())
+    read, den = _operator_rows(source)
+    if any(u * den != common * v for p, (ours, theirs) in enumerate(zip(built, read))
+           for u, v in zip(ours[p:], theirs[p:])):
         raise RuntimeError(
             f"{decomposition.kind} decomposition failed to reconstruct its "
             "input exactly; this is a bug"

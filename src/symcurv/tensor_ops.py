@@ -16,20 +16,21 @@ kernels work on the integers and ``_unchecked`` brings each result to lowest
 terms with ``_exact.reduced``; a ``Fraction`` is built only when an entry is
 read (``[]``, ``nonzero_items``, ``rows``, ``to_nested``, ``trace``,
 ``m(v)``).  ``_gather`` alone maps a slot permutation to flat positions, for
-``transpose`` and ``apply_symmetry_operator``, the one action: ``gamma``,
-``alpha`` and every symmetry test in the package go through it, and it reads
-the group-ring element's stored numerators with no sort and no conversion.
+``transpose`` and ``apply_symmetry_operator``, the one action: every
+symmetry test in the package goes through it, and it reads the group-ring
+element's stored numerators with no sort and no conversion.
 ``_reader`` turns a gather into an ``itemgetter`` once per (permutation,
 dimension) and caches it, so ``_gather`` runs only on a cache miss; the
 action reads the identity term straight from ``_ints``, every other term in
 one C call through its reader, and folds each into the sum with ``map``.
 ``_gather`` emits the last slot, whose source positions lie one stride
 apart, as C-level ``range`` runs.  ``_contract_middle`` is the Jacobi
-contraction ``T(a, x, x, d)``.
+contraction ``T(a, x, x, d)``, and ``_from_operator_rows`` writes
+``gamma``, ``alpha`` and their sums out from their curvature operator.
 
 No other module reads or writes the flat numerators: they reach them only
 through ``_int_rows``, ``_from_int_rows``, ``_slab``, ``_operator_rows``,
-``_gram_sum``, ``_canonical_terms``, ``_contract_middle`` and
+``_from_operator_rows``, ``_canonical_terms``, ``_contract_middle`` and
 ``_nonzero_count``.
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
@@ -427,31 +428,10 @@ def tensor_product(m: DenseTensor, n: DenseTensor) -> DenseTensor:
         x * y for x in m._ints for y in n._ints], m._den * n._den)
 
 
-def _gram_sum(dim: int, terms: Sequence[tuple[Fraction, DenseTensor]]) -> DenseTensor:
-    """``sum c * tensor_product(M, M)`` over the pairs ``(c, M)`` of
-    dimension-``dim`` matrices, i.e. ``sum c vec(M) vec(M)^T``.
-
-    The sum runs on the stored numerators of the matrices, with each weight
-    ``c / den**2`` brought over one common denominator, one dot product per
-    pair of nonzero flat positions (the square is symmetric in its two
-    pairs).  The shape is checked against the entry cap first."""
-    _check_shape(4, dim)
-    scales, common = numerators([c / (m._den * m._den) for c, m in terms])
-    columns = list(zip(*(m._ints for _, m in terms)))
-    live = [a for a, column in enumerate(columns) if any(column)]
-    size = dim * dim
-    acc = [0] * (size * size)
-    for k, a in enumerate(live):
-        weighted = list(map(mul, scales, columns[a]))
-        for b in live[k:]:
-            acc[a * size + b] = acc[b * size + a] = sum(map(mul, weighted, columns[b]))
-    return DenseTensor._unchecked(4, dim, acc, common)
-
-
 def _canonical_terms(terms: Iterable[tuple[Fraction, DenseTensor]]
                      ) -> list[tuple[Fraction, DenseTensor]]:
     """The canonical list of pairs ``(c, M)`` with the same
-    ``sum c * tensor_product(M, M)`` as ``terms`` (the ``_gram_sum``).
+    ``sum c * tensor_product(M, M)`` as ``terms``.
 
     Each M is signed so that its first nonzero entry, row-major, is
     positive, which leaves ``M (x) M`` unchanged; equal matrices have equal
@@ -502,6 +482,23 @@ def _operator_rows(tensor: DenseTensor) -> tuple[list[list[int]], int]:
     n, ints = tensor.dim, tensor._ints
     pairs = [i * n + j for i in range(n) for j in range(i + 1, n)]
     return [[ints[p * n * n + q] for q in pairs] for p in pairs], tensor._den
+
+
+def _from_operator_rows(rows: Sequence[Sequence[int]], den: int, n: int) -> DenseTensor:
+    """Inverse of ``_operator_rows``: the dimension-``n`` curvature tensor
+    whose curvature operator is the integer ``rows`` over ``den > 0``,
+    without validation.  Block (i,j), the matrix ``T[i,j,.,.]``, is the skew
+    matrix of row (ij) for i < j, its negative for i > j and 0 for i = j."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # entry (k,l) of the skew matrix of row r, read from (0, *r, *-r)
+    at = [[0] * n for _ in range(n)]
+    for p, (k, l) in enumerate(pairs, 1):
+        at[k][l], at[l][k] = p, p + len(pairs)
+    skew = itemgetter(*chain.from_iterable(at))
+    blocks = [[(0,) * (n * n)] * n for _ in range(n)]
+    for (i, j), r in zip(pairs, rows):
+        blocks[i][j], blocks[j][i] = skew((0, *r, *map(neg, r))), skew((0, *map(neg, r), *r))
+    return DenseTensor._unchecked(4, n, tuple(chain(*chain(*blocks))), den)
 
 
 def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:

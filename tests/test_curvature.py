@@ -686,14 +686,30 @@ def test_decomposition_json_refuses_malformed_fields(path, value, error, match):
         CurvatureDecomposition.from_json_dict(payload)
 
 
-def _term_by_term(d: CurvatureDecomposition) -> DenseTensor:
-    """Reference: one gamma or alpha tensor per term, added one at a time."""
-    total = DenseTensor.zeros(4, d.dim)
-    for sign, weight, m in d.gamma_terms:
-        total = total + gamma(m).scale(sign * weight)
-    for sign, weight, m in d.alpha_terms:
-        total = total + alpha(m).scale(sign * weight)
+#: gamma and alpha as group-ring elements of S4 acting on a tensor square,
+#: spelled here so that the reference below shares no code with the kernel.
+_GAMMA_ELEMENT = GroupRingElement(4, [([1, 4, 2, 3], "1/3"), ([1, 3, 2, 4], "-1/3")])
+_ALPHA_ELEMENT = GroupRingElement(
+    4, [([1, 2, 3, 4], "2/3"), ([1, 3, 2, 4], "1/3"), ([1, 4, 2, 3], "-1/3")])
+
+
+def _group_ring_sum(n, gamma_terms, alpha_terms) -> DenseTensor:
+    """Reference: ``sum c * element (M (x) M)`` over the pairs ``(c, M)``,
+    one action of the gamma or alpha element per term."""
+    total = DenseTensor.zeros(4, n)
+    for element, terms in ((_GAMMA_ELEMENT, gamma_terms), (_ALPHA_ELEMENT, alpha_terms)):
+        for c, m in terms:
+            total = total + apply_symmetry_operator(element, tensor_product(m, m)).scale(c)
     return total
+
+
+def _pairs(terms) -> list[tuple[Fraction, DenseTensor]]:
+    return [(t.sign * t.weight, t.matrix) for t in terms]
+
+
+def _term_by_term(d: CurvatureDecomposition) -> DenseTensor:
+    """Reference: the group-ring route, one term at a time."""
+    return _group_ring_sum(d.dim, _pairs(d.gamma_terms), _pairs(d.alpha_terms))
 
 
 def _random_terms(rng, n, make, count):
@@ -719,6 +735,22 @@ def test_reconstruct_matches_term_by_term_sum():
                       if kinds != "gamma" else ())
             d = CurvatureDecomposition("mixed", n, gammas, alphas)
             assert d.reconstruct() == _term_by_term(d)
+
+
+def test_quadratic_sum_matches_the_group_ring_route():
+    """Both kinds in one call, n = 1..6: mixed denominators, both signs,
+    zero weights, zero and repeated matrices, one kind alone, no terms."""
+    rng = random.Random(49)
+    quadratic_sum = curvature_module._quadratic_sum
+    for n in range(1, 7):
+        for count in (0, 1, 4):
+            gammas = _pairs(_random_terms(rng, n, rand_symmetric, count))
+            alphas = _pairs(_random_terms(rng, n, rand_skew, count))
+            for g, a in ((gammas, alphas), (gammas, ()), ((), alphas)):
+                assert quadratic_sum(n, g, a) == _group_ring_sum(n, g, a)
+        assert quadratic_sum(n, (), ()) == DenseTensor.zeros(4, n)
+    one = DenseTensor(2, 1, ["3/2"])
+    assert quadratic_sum(1, [(Fraction(-2, 3), one)], [(2, -one + one)]) == DenseTensor.zeros(4, 1)
 
 
 def test_reconstruct_of_no_terms_is_zero():
@@ -769,7 +801,7 @@ def test_self_check_rejects_a_dropped_term_a_doubled_weight_and_a_flipped_sign(k
 def test_self_check_on_the_operator_agrees_with_the_rebuild(monkeypatch):
     """``_checked`` compares curvature operators and never rebuilds; on
     every decomposition, tampered or not, and on a sum of both kinds, it
-    accepts exactly when ``reconstruct() == T``."""
+    accepts exactly when the group-ring sum of its terms equals T."""
     tensors = [rand_curvature(random.Random(n), n, 3) for n in range(1, 9)]
     tensors += structured_curvatures().values()
     tensors.append(DenseTensor.zeros(4, 4))
@@ -781,7 +813,7 @@ def test_self_check_on_the_operator_agrees_with_the_rebuild(monkeypatch):
         cases = [(gammas, t), (alphas, t), (both, DenseTensor.zeros(4, t.dim))]
         cases += [(broken, t) for d in (gammas, alphas) if d.term_count
                   for broken in _tampered(d)]
-        checked += [(d, source, d.reconstruct() == source) for d, source in cases]
+        checked += [(d, source, _term_by_term(d) == source) for d, source in cases]
     monkeypatch.setattr(CurvatureDecomposition, "reconstruct", None)
     for d, source, equal in checked:
         try:
@@ -893,3 +925,16 @@ def test_only_the_curvature_gate_builds_not_a_curvature_tensor():
         for owner in _builders(tree, "NotACurvatureTensor"):
             builders.setdefault(path.stem, []).append(owner)
     assert builders == {"curvature": ["_require_curvature"]}
+
+
+def test_one_evaluator_for_sums_of_gammas_and_alphas():
+    """``_operator_sum`` alone evaluates ``sum c gamma(S) + sum c alpha(A)``:
+    the build ``_quadratic_sum`` and the self-check ``_checked`` both call
+    it, neither applies a group-ring element, and ``tensor_ops`` keeps no
+    n^4 Gram sum."""
+    tree = ast.parse(Path(curvature_module.__file__).read_text(encoding="utf-8"))
+    assert sorted(_builders(tree, "_operator_sum")) == ["_checked", "_quadratic_sum"]
+    assert not {"_checked", "_quadratic_sum"} & set(_builders(tree, "apply_symmetry_operator"))
+    ops = ast.parse(Path(tensor_ops_module.__file__).read_text(encoding="utf-8"))
+    assert "_gram_sum" not in {node.name for node in ast.walk(ops)
+                               if isinstance(node, ast.FunctionDef)}

@@ -1188,7 +1188,8 @@ def test_lorentz_2x2_skew_never_f_nilpotent():
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_lorentz_checks_pass(q):
     report = lorentz_checks(q, trials=25, samples=20, seed=0)
-    assert report.ok
+    assert report.ok and report.jacobi_samples == 20
+    assert lorentz_checks(q, trials=1, samples=0).jacobi_samples == 0
     assert report.skew_all_non_nilpotent
     assert report.jacobi_all_zero
     assert report.to_json_dict()["pass"]
@@ -1234,6 +1235,8 @@ _REFUSALS = [
                                                   Metric.standard(2, 0), 0, 1),
                  "tensor dimension 3 != metric dimension 2",
                  id="osserman_spectrum_sample of another dimension"),
+    pytest.param(lambda: lorentz_checks(1, trials=1, samples=-1), "samples must be >= 0, got -1",
+                 id="lorentz_checks of negative samples"),
     pytest.param(lambda: nilpotency_check(DenseTensor.zeros(2, 2), Metric.standard(2, 0), 1),
                  "order-4 tensor matching the metric dimension required",
                  id="nilpotency_check of order 2"),

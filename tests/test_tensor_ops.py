@@ -113,7 +113,7 @@ def test_index_entries_must_be_integers():
 def test_flat_numerators_stay_inside_tensor_ops():
     """Only ``tensor_ops`` reads or writes the stored numerators; the other
     modules go through its private helpers (``_int_rows``, ``_slab``,
-    ``_operator_rows``, ...)."""
+    ``_operator_rows``, ``_from_operator_rows``, ...)."""
     touch = re.compile(r"\._ints|\._den\b|\._unchecked\(")
     for module in (symcurv.curvature, symcurv.osserman, symcurv.cli):
         with open(module.__file__, encoding="utf-8") as source:
@@ -291,26 +291,6 @@ def test_tensor_product_values():
         tensor_product(eye, DenseTensor.zeros(2, 3))
 
 
-def test_gram_sum_is_the_weighted_sum_of_tensor_squares():
-    """``_gram_sum`` against ``sum c * tensor_product(M, M)``: mixed
-    denominators, zero weights and zero matrices, at n = 1 too."""
-    rng = random.Random(24)
-    for n in (1, 2, 3, 4):
-        for count in (1, 2, 5):
-            matrices = [rand_tensor(rng, 2, n).scale(rand_fraction(rng, 1, 3, 7))
-                        for _ in range(count)] + [DenseTensor.zeros(2, n)]
-            terms = [(rand_fraction(rng, -4, 4, 9), rng.choice(matrices))
-                     for _ in range(count + 1)]
-            terms.append((Fraction(0), matrices[0]))
-            expected = DenseTensor.zeros(4, n)
-            for c, m in terms:
-                expected = expected + tensor_product(m, m).scale(c)
-            assert tensor_ops_module._gram_sum(n, terms) == expected
-    one = DenseTensor(2, 1, ["3/2"])
-    assert tensor_ops_module._gram_sum(1, [(Fraction(-2, 3), one)]) == DenseTensor(4, 1, ["-3/2"])
-    assert tensor_ops_module._gram_sum(2, []) == DenseTensor.zeros(4, 2)
-
-
 # ------------------------------------------------------------------- embedding
 
 def test_to_group_ring_zero():
@@ -428,11 +408,35 @@ def test_operator_rows_read_the_curvature_operator():
             [t[p + q] for q in pairs] for p in pairs]
 
 
+def test_from_operator_rows_inverts_operator_rows():
+    """Writing a curvature tensor out from its curvature operator gives it
+    back: the structured examples (one with an all-zero diagonal of B),
+    seeded ones at n = 1..8 (n = 1 has no pairs and one entry), tensors
+    projected by ``ystar`` without the writer, and zero tensors."""
+    ystar = canonical_elements().symmetrizer_star
+    rng = random.Random(28)
+    tensors = list(structured_curvatures().values())
+    tensors += [rand_curvature(random.Random(n), n, 3) for n in range(1, 9)]
+    projected = [apply_symmetry_operator(ystar, rand_tensor(rng, 4, n)) for n in (2, 3, 4)]
+    assert not any(t.is_zero for t in projected)
+    tensors += projected + [DenseTensor.zeros(4, n) for n in (1, 2, 5)]
+    for t in tensors:
+        rows = tensor_ops_module._operator_rows(t)
+        assert tensor_ops_module._from_operator_rows(*rows, t.dim) == t
+
+
 def test_canonical_terms_keep_the_gram_sum():
     """The decompositions' canonical form: the same ``sum c M (x) M``, every
     matrix once and led by a positive entry, no zero weight or matrix, and
     the matrices in entrywise order."""
-    canonical, gram = tensor_ops_module._canonical_terms, tensor_ops_module._gram_sum
+    canonical = tensor_ops_module._canonical_terms
+
+    def gram(n, terms):
+        total = DenseTensor.zeros(4, n)
+        for c, x in terms:
+            total = total + tensor_product(x, x).scale(c)
+        return total
+
     rng = random.Random(26)
     m = DenseTensor(2, 2, [0, "-1/3", 5, 0])
     mixed = [DenseTensor(2, 2, values) for values in
