@@ -104,9 +104,10 @@ def _ring(*terms) -> GroupRingElement:
 _ID, _T12, _T34, _SWAP = [1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 4, 3], [3, 4, 1, 2]
 _BIANCHI = _ring((_ID, 1), ([1, 3, 4, 2], 1), ([1, 4, 2, 3], 1))
 _FIRST_PAIR_SUM = _ring((_ID, 1), (_T12, 1))
+_SECOND_PAIR_SUM = _ring((_ID, 1), (_T34, 1))
 _DIRECT_CONDITIONS = (
     ("antisymmetry in the first index pair", _FIRST_PAIR_SUM),
-    ("antisymmetry in the second index pair", _ring((_ID, 1), (_T34, 1))),
+    ("antisymmetry in the second index pair", _SECOND_PAIR_SUM),
     ("pair-exchange symmetry", _ring((_ID, 1), (_SWAP, -1))),
 )
 #: ``symmetrizer_star == V H`` as its two-term factors, leftmost first: the
@@ -127,8 +128,8 @@ def canonical_elements() -> CanonicalElements:
     ystar = y.star()
     swap_sym = _ring((_ID, 1), (_SWAP, 1))
     swap_proj = swap_sym.scale(Fraction(1, 2))
-    pair_sym = _FIRST_PAIR_SUM * _ring((_ID, 1), (_T34, 1))
-    pair_skew = _ring((_ID, 1), (_T12, -1)) * _ring((_ID, 1), (_T34, -1))
+    pair_sym = _FIRST_PAIR_SUM * _SECOND_PAIR_SUM
+    pair_skew = _SYMMETRIZER_FACTORS[0] * _SYMMETRIZER_FACTORS[1]  # V
     swapped = ystar * swap_sym
     gamma_gen = swapped * pair_sym
     alpha_gen = swapped * pair_skew
@@ -253,7 +254,7 @@ def _operator_sum(n: int, gamma_terms: Sequence[tuple[Fraction, DenseTensor]],
             (p, s), (q, t) = at[a][b], at[c][d]
             return s * t * gram[p][q]
 
-        sums = [total + x * form(i, j, k, l) + y * form(i, k, j, l) + z * form(i, l, j, k)
+        sums = [total + (x and x * form(i, j, k, l)) + y * form(i, k, j, l) + z * form(i, l, j, k)
                 for total, (i, j, k, l) in zip(sums, entries)]
     # row p of B is column p above the diagonal, then the entries (p, q >= p)
     m, values = len(pairs), iter(sums)

@@ -468,6 +468,8 @@ def nilpotent_skew_example(p: int, q: int) -> DenseTensor:
 def sample_vectors(dim: int, count: int, seed: int = 0) -> list[Vector]:
     """Deterministic nonzero rational vectors with small entries."""
     _check_shape(1, dim)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = random.Random(seed)
     out: list[Vector] = []
     while len(out) < count:
@@ -520,6 +522,8 @@ def sample_unit_vectors(g: Metric, sign: int, count: int,
         raise SignatureError(
             f"the pseudo-sphere g(x,x) == {sign:+d} is empty in signature ({p},{q})"
         )
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     count = min(count, 2) if g.dim == 1 else count
     anchor = _find_anchor(g, sign)
     rows, gden = g._matrix._int_rows()
@@ -628,7 +632,6 @@ class LorentzReport:
     q: int
     skew_trials: int
     skew_all_non_nilpotent: bool
-    jacobi_samples: int
     jacobi_all_zero: bool
 
     @property
@@ -640,25 +643,21 @@ class LorentzReport:
             "q": self.q,
             "skew_trials": self.skew_trials,
             "skew_all_non_nilpotent": self.skew_all_non_nilpotent,
-            "jacobi_samples": self.jacobi_samples,
             "jacobi_all_zero": self.jacobi_all_zero,
             "pass": self.ok,
         }
 
 
-def lorentz_checks(q: int, trials: int, samples: int = 20,
-                   seed: int = 0) -> LorentzReport:
-    """Signature (1, q): no skew matrix is F-nilpotent (sampled), and the
-    nilpotent-symmetric construction has identically vanishing Jacobi
-    operators (exact: ``T == 0``, which holds iff every ``J(x)`` vanishes;
-    ``samples`` is only reported)."""
+def lorentz_checks(q: int, trials: int, *, seed: int = 0) -> LorentzReport:
+    """Signature (1, q): no skew matrix is F-nilpotent (sampled over ``trials``
+    random skews), and the nilpotent-symmetric construction has ``T == 0``
+    (exact, and true iff every Jacobi operator ``J(x)`` vanishes)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     m = 1 + q
-    g = Metric.standard(1, q)
-    f = g._matrix
+    f = Metric.standard(1, q)._matrix
     rng = random.Random(seed)
     skew_ok = True
     for _ in range(trials):
@@ -678,6 +677,5 @@ def lorentz_checks(q: int, trials: int, samples: int = 20,
         q=q,
         skew_trials=trials,
         skew_all_non_nilpotent=skew_ok,
-        jacobi_samples=samples,
         jacobi_all_zero=gamma(nilpotent_sym_example(1, q)).is_zero,
     )

@@ -120,7 +120,7 @@ EXPECTED = {
     'LinearMap.trace': 'method (self)',
     'LinearMap.transpose': 'method (self)',
     'LinearMap.zeros': 'staticmethod (order, dim)',
-    'LorentzReport': 'class (q, skew_trials, skew_all_non_nilpotent, jacobi_samples, jacobi_all_zero)',
+    'LorentzReport': 'class (q, skew_trials, skew_all_non_nilpotent, jacobi_all_zero)',
     'LorentzReport.ok': 'property',
     'LorentzReport.to_json_dict': 'method (self)',
     'Metric': 'class (matrix)',
@@ -193,7 +193,7 @@ EXPECTED = {
     'jacobi_gamma_closed': '(s, g, x)',
     'jacobi_operator': '(tensor, g, x)',
     'jordan_family': '(coefficients, cross_coefficients, skews)',
-    'lorentz_checks': '(q, trials, samples=20, seed=0)',
+    'lorentz_checks': '(q, trials, *, seed=0)',
     'lr_product': '(lam, mu, cap=8)',
     'nilpotency_check': '(tensor, g, samples, seed=0)',
     'nilpotent_skew_example': '(p, q)',

@@ -426,6 +426,12 @@ def test_osserman_lorentz(capsys):
     assert main(["osserman", "lorentz", "--q", "2", "--trials", "10"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "(exact: T == 0): PASS" in out and "samples" not in out
+    # J == 0 is decided exactly, so there is no sample count to pass
+    with pytest.raises(SystemExit) as exc:
+        main(["osserman", "lorentz", "--q", "2", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
 
 
 def test_osserman_demo_clifford(capsys):
@@ -509,7 +515,7 @@ def test_negative_signature_is_an_input_error(capsys):
     ["osserman", "demo", "--samples", "0"],
     ["osserman", "nilpotent", "--p", "2", "--q", "2", "--samples", "-1"],
     ["osserman", "lorentz", "--q", "2", "--trials", "-1"],
-    ["osserman", "lorentz", "--q", "2", "--samples", "0"],
+    ["osserman", "lorentz", "--q", "2", "--trials", "0"],
     ["osserman", "lorentz", "--q", "0"],
 ])
 def test_nonpositive_counts_are_input_errors(argv, capsys):
@@ -526,7 +532,7 @@ def test_nonpositive_counts_are_input_errors(argv, capsys):
     ["osserman", "demo", "--count", "10001"],
     ["osserman", "demo", "--family", "nilpotent-alpha", "--samples", "10001"],
     ["osserman", "lorentz", "--q", "2", "--trials", "10001"],
-    ["osserman", "lorentz", "--q", "2", "--samples", str(10 ** 18)],
+    ["osserman", "lorentz", "--q", "2", "--trials", str(10 ** 18)],
 ])
 def test_oversized_counts_are_input_errors(argv, capsys):
     # refused by argparse, before any sampling starts
@@ -614,7 +620,7 @@ def test_other_value_errors_propagate(monkeypatch):
     ["schur", "plethysm", "alt2", "2"],
     ["osserman", "spectrum", "--tensor", "t.json", "--metric", "g.json", "--count", "2"],
     ["osserman", "nilpotent", "--p", "1", "--q", "1", "--samples", "2"],
-    ["osserman", "lorentz", "--q", "1", "--trials", "2", "--samples", "2"],
+    ["osserman", "lorentz", "--q", "1", "--trials", "2"],
     ["osserman", "demo", "--count", "2"],
     ["decompose", "t.json"],
 ], ids=lambda argv: " ".join(argv[:2]))

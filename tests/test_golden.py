@@ -266,8 +266,8 @@ GOLDEN = {
     "cli-demo-text": "e30497c7b02022197885a859e4652f46ebee4959452e901ad8ce1a3b53a9cc5c",
     "cli-identities": "f6eadfa94169920a90c866143d3e0556873a38de2f1f1d25c1c9c7a877b8499e",
     "cli-identities-text": "fe9ce17883e10d0aa954e40a5444640e5e9e48f83d8319a3db0f52897c0aadc6",
-    "cli-lorentz": "ba7c33077bfd032072f16016573958752017952e7d999ba49c5ac169fa9c926d",
-    "cli-lorentz-text": "11c019b021be160a7d3446da348eec006641974d286b5452fb80b75d8c2e6ec0",
+    "cli-lorentz": "e9adb27fb1a64f09fd20bbea5ea0ec27ca16f868c2a77290390ae0fb4f75a6e6",
+    "cli-lorentz-text": "bd1736cb18853e9593980906e49d35c0e08438d529ea3b6428328a8e9467b441",
     "cli-nilpotent": "5bc4b1bab5f4bac35fa15f36e0dd94c14a636b88e4c6eeed85dad7a36cc90a95",
     "cli-nilpotent-text": "4b8c2a1fd513e9946d2327e92b82b46374f4e8ea8ee7f0cd24dd19a78715db06",
     "cli-schur-alt2-json": "15d5d407b5d89df5c9518ce5bb143357aaf5fe98b9139eb798b665e6470130da",

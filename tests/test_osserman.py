@@ -98,6 +98,8 @@ def test_custom_metric_signature_and_inverse():
     assert Metric([[1, 0], [0, -1]]).is_standard_form
     assert not Metric([[-1, 0], [0, 1]]).is_standard_form
     assert not Metric([[2, 0], [0, 2]]).is_standard_form
+    assert repr(g) == "Metric(dim=2, signature=(1,1))"
+    assert repr(LinearMap(g.rows)) == "LinearMap(dim=2)"
 
 
 def _sympy_rows(sympy, rows):
@@ -1187,9 +1189,10 @@ def test_lorentz_2x2_skew_never_f_nilpotent():
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_lorentz_checks_pass(q):
-    report = lorentz_checks(q, trials=25, samples=20, seed=0)
-    assert report.ok and report.jacobi_samples == 20
-    assert lorentz_checks(q, trials=1, samples=0).jacobi_samples == 0
+    report = lorentz_checks(q, trials=25, seed=0)
+    assert report.ok and report.skew_trials == 25
+    assert lorentz_checks(q, trials=0).ok
+    assert "jacobi_samples" not in report.to_json_dict()
     assert report.skew_all_non_nilpotent
     assert report.jacobi_all_zero
     assert report.to_json_dict()["pass"]
@@ -1198,6 +1201,9 @@ def test_lorentz_checks_pass(q):
 def test_lorentz_checks_validation():
     with pytest.raises(ValueError):
         lorentz_checks(0, trials=5)
+    # the seed is keyword-only: a third positional argument is refused, not read as a seed
+    with pytest.raises(TypeError):
+        lorentz_checks(2, 10, 20)
 
 
 # ---------------------------------------------------------------- refusals
@@ -1235,8 +1241,22 @@ _REFUSALS = [
                                                   Metric.standard(2, 0), 0, 1),
                  "tensor dimension 3 != metric dimension 2",
                  id="osserman_spectrum_sample of another dimension"),
-    pytest.param(lambda: lorentz_checks(1, trials=1, samples=-1), "samples must be >= 0, got -1",
-                 id="lorentz_checks of negative samples"),
+    pytest.param(lambda: lorentz_checks(1, trials=-1), "trials must be >= 0, got -1",
+                 id="lorentz_checks of negative trials"),
+    # the samplers own the count rule and the two checks inherit it: a
+    # negative count would sample nothing and pass a non-nilpotent tensor
+    pytest.param(lambda: sample_vectors(3, -1), "count must be >= 0, got -1",
+                 id="sample_vectors of a negative count"),
+    # 3(x² + y²) == 1 has no rational point: the refusal comes before the anchor search
+    pytest.param(lambda: sample_unit_vectors(Metric([[3, 0], [0, 3]]), 1, -1),
+                 "count must be >= 0, got -1", id="sample_unit_vectors of a negative count"),
+    pytest.param(lambda: nilpotency_check(rand_curvature(random.Random(3), 3),
+                                          Metric.standard(3, 0), -5),
+                 "count must be >= 0, got -5", id="nilpotency_check of a negative count"),
+    pytest.param(lambda: osserman_spectrum_sample(gamma(Metric.standard(2, 0).tensor()),
+                                                  Metric.standard(2, 0), -1, 1),
+                 "count must be >= 0, got -1",
+                 id="osserman_spectrum_sample of a negative count"),
     pytest.param(lambda: nilpotency_check(DenseTensor.zeros(2, 2), Metric.standard(2, 0), 1),
                  "order-4 tensor matching the metric dimension required",
                  id="nilpotency_check of order 2"),

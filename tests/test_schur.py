@@ -121,6 +121,13 @@ def test_schur_sum_formatting():
     assert str(plethysm_transpose(plethysm_sym2(2))) == "2,2 + 1,1,1,1"
     assert "2*3,2,1" in str(lr_product(P(2, 1), P(2, 1)))
     assert str(SchurSum()) == "0"
+    assert repr(SchurSum({P(2): 1})) == "SchurSum({Partition([2]): 1})"
+    total = plethysm_sym2(2) + plethysm_transpose(plethysm_sym2(2))
+    assert total.multiplicity(P(2, 2)) == 2
+    assert str(total) == "4 + 2*2,2 + 1,1,1,1"
+    assert len(total) == 3 and total and not SchurSum()
+    with pytest.raises(TypeError):
+        total + {P(4): 1}
 
 
 def test_schur_sum_validation_and_json():

@@ -61,6 +61,8 @@ def test_permutation_validation():
         Permutation([1, 1, 3])
     with pytest.raises(ValueError):
         Permutation([0, 1, 2])
+    with pytest.raises(TypeError):
+        Permutation.identity(3) * 2
 
 
 # each of these used to truncate or parse to a valid permutation
@@ -91,6 +93,7 @@ def test_enumerate_group():
     assert len(set(enumerate_group(4))) == 24
     assert [p.images for p in enumerate_group(3)] == [
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    assert sorted(reversed(enumerate_group(3))) == enumerate_group(3)  # one-line order
     with pytest.raises(ValueError, match="cap"):
         enumerate_group(9)
     with pytest.raises(ValueError, match="cap"):
@@ -165,6 +168,11 @@ def test_scalar_multiplication():
     assert 2 * a == a + a
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
     assert (0 * a).is_zero
+    assert -a == a.scale(-1) and (a + -a).is_zero
+    for foreign in (lambda: a + 1, lambda: a - "1", lambda: a * 0.5):
+        with pytest.raises(TypeError):
+            foreign()
+    assert repr(a) == f"GroupRingElement(degree=4, support={len(a)})"
 
 
 def test_star_involution_and_transpositions():

@@ -89,6 +89,10 @@ def test_arithmetic_results_stay_exact():
         t.scale(0.5)  # floats rejected by scale as by the constructor
     with pytest.raises(TypeError):
         t * 0.5
+    for foreign in (lambda: t + 1, lambda: t - "1", lambda: t @ 2):
+        with pytest.raises(TypeError):
+            foreign()
+    assert repr(t) == "DenseTensor(order=2, dim=2)"
 
 
 def test_dense_tensor_indexing_and_equality():

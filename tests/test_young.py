@@ -62,6 +62,7 @@ def test_partition_text_round_trip():
     assert Partition.from_text("3,1").parts == (3, 1)
     assert str(Partition([3, 1])) == "3,1"
     assert Partition.from_text("").parts == ()
+    assert repr(Partition([3, 1])) == "Partition([3, 1])"
 
 
 def test_tableau_validation():
@@ -97,6 +98,11 @@ def test_tableau_text_round_trip():
     assert YoungTableau.from_text("1,3;2,4") == t
     assert t.shape == Partition([2, 2])
     assert t.is_standard
+    assert repr(t) == "YoungTableau([[1, 3], [2, 4]])"
+    assert len({t, YoungTableau.from_text("1,3;2,4"), YoungTableau([[1, 2], [3, 4]])}) == 2
+    # a decrease along a row, and then one down a column
+    assert not YoungTableau([[2, 1], [3]]).is_standard
+    assert not YoungTableau([[2, 3], [1, 4]]).is_standard
 
 
 def test_standard_tableaux_shape_22():
@@ -118,6 +124,7 @@ def test_hook_length_values():
     assert hook_length_count(Partition([2, 2])) == 2
     assert hook_length_count(Partition([3, 2])) == 5
     assert hook_length_count(Partition([4, 2])) == 9
+    assert hook_length_count(Partition(())) == 1
 
 
 def test_symmetrizer_of_curvature_tableau():
