@@ -317,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     lr.add_argument("mu", help="second partition, e.g. 1,1")
     lr.set_defaults(func=cmd_schur_lr)
     plethysm = schur_sub.add_parser("plethysm",
-                                    help="symmetric/alternating square rules")
-    plethysm.add_argument("kind", choices=("sym2", "alt2"))
-    plethysm.add_argument("n", type=int)
+                                    help="Sym^n(Sym^2) or Sym^n(Alt^2) in Schur terms")
+    plethysm.add_argument("kind", choices=("sym2", "alt2"),
+                          help="sym2: h_n[h_2] = Sym^n(Sym^2); alt2: h_n[e_2] = Sym^n(Alt^2)")
+    plethysm.add_argument("n", type=int, help="the outer degree n")
     plethysm.set_defaults(func=cmd_schur_plethysm)
 
     osserman = commands.add_parser("osserman",
@@ -358,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--family",
                       choices=("clifford", "nilpotent-gamma", "nilpotent-alpha"),
                       default="clifford")
-    demo.add_argument("--l0", type=_fraction, default=Fraction(2))
-    demo.add_argument("--l1", type=_fraction, default=Fraction(1))
+    demo.add_argument("--l0", type=_fraction, default=Fraction(2),
+                      help="coefficient l0; read by the clifford family only")
+    demo.add_argument("--l1", type=_fraction, default=Fraction(1),
+                      help="coefficient l1; read by the clifford family only")
     demo.add_argument("--count", type=_count, default=10,
                       help="sample count; read by the clifford family only")
     demo.add_argument("--samples", type=_count, default=20,

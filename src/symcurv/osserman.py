@@ -588,6 +588,8 @@ def osserman_spectrum_sample(tensor: DenseTensor, g: Metric, count: int,
     if tensor.dim != g.dim:
         raise ValueError(f"tensor dimension {tensor.dim} != metric dimension {g.dim}")
     _require_curvature(tensor)
+    if count == 0:  # no samples, no verdict; the sampler refuses a negative count
+        raise ValueError("count must be >= 1, got 0")
     xs = sample_unit_vectors(g, sign, count, seed)
     roots = []
     remainders = []
@@ -612,6 +614,8 @@ def nilpotency_check(tensor: DenseTensor, g: Metric, samples: int,
     vector when the signature is indefinite)."""
     if tensor.order != 4 or tensor.dim != g.dim:
         raise ValueError("order-4 tensor matching the metric dimension required")
+    if samples == 0:  # no samples, no verdict; the sampler refuses a negative count
+        raise ValueError("count must be >= 1, got 0")
     xs = sample_vectors(g.dim, samples, seed)
     p, q = g.signature
     if p >= 1 and q >= 1 and g.is_standard_form:
@@ -658,19 +662,12 @@ def lorentz_checks(q: int, trials: int, *, seed: int = 0) -> LorentzReport:
         raise ValueError(f"trials must be >= 0, got {trials}")
     m = 1 + q
     f = Metric.standard(1, q)._matrix
-    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     skew_ok = True
-    for _ in range(trials):
-        entries: dict[tuple[int, int], Fraction] = {}
-        while not entries:
-            for i in range(m):
-                for j in range(i + 1, m):
-                    value = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    if value:
-                        entries[(i, j)] = value
-                        entries[(j, i)] = -value
-        a = DenseTensor.from_entries(2, m, entries)
-        af = a @ f
+    for values in sample_vectors(len(pairs), trials, seed):
+        entries = dict(zip(pairs, values))
+        entries.update(((j, i), -value) for (i, j), value in zip(pairs, values))
+        af = DenseTensor.from_entries(2, m, entries) @ f
         if (af @ af).is_zero:
             skew_ok = False
     return LorentzReport(

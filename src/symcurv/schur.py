@@ -1,10 +1,10 @@
 """Formal Schur-indexed combinatorics.
 
 Only what the curvature verification needs: Littlewood-Richardson products
-by direct lattice-word counting, the symmetric-square plethysm rule
-``sym2 (.) [n] = sum over partitions lam of n of [2*lam]``, and term-wise
-conjugation (which converts the symmetric-square rule into the
-alternating-square one).
+by direct lattice-word counting; Littlewood's plethysm ``h_n[h_2] = sum over
+partitions lam of n of [2*lam]``, the character of Sym^n(Sym^2 V); and
+term-wise conjugation, which turns it into ``h_n[e_2]``, that of
+Sym^n(Alt^2 V).
 """
 
 from __future__ import annotations
@@ -154,8 +154,13 @@ def lr_product(lam: Partition, mu: Partition,
 
 
 def plethysm_sym2(n: int, cap: int = PLETHYSM_CAP) -> SchurSum:
-    """Symmetric square of the weight-n symmetric power class:
-    one term ``[2*lam]`` for every partition lam of n."""
+    """The plethysm ``h_n[h_2]``, the n-th symmetric power of the symmetric
+    square Sym^n(Sym^2 V): one term ``[2*lam]`` for every partition lam of n
+    (Littlewood).
+
+    This is not the symmetric square of Sym^n V, ``h_2[h_n]``, beyond n = 2:
+    at n = 3 that is ``6 + 4,2`` where this gives ``6 + 4,2 + 2,2,2``.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > cap:
@@ -168,8 +173,9 @@ def plethysm_sym2(n: int, cap: int = PLETHYSM_CAP) -> SchurSum:
 def plethysm_transpose(s: SchurSum) -> SchurSum:
     """Conjugate every term, keeping multiplicities.
 
-    Applied to the symmetric-square expansion this yields the alternating
-    square (the rule is valid because the outer shape has even weight 2).
+    Applied to ``plethysm_sym2(n)`` this yields ``h_n[e_2]``, the character
+    of Sym^n(Alt^2 V): conjugation maps ``f[h_2]`` to ``f[e_2]`` because the
+    inner degree 2 is even.
     """
     return SchurSum((part.conjugate(), mult) for part, mult in s.items())
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -447,6 +448,18 @@ def test_osserman_demo_nilpotent_families(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["osserman", "demo", "--family", "nilpotent-alpha"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_osserman_demo_help_names_the_family_of_each_option(capsys):
+    # the nilpotent families ignore --l0, --l1 and --count, the clifford
+    # family --samples; the help says so instead of staying silent
+    with pytest.raises(SystemExit) as exc:
+        main(["osserman", "demo", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for option, family in (("--l0 L0", "clifford"), ("--l1 L1", "clifford"),
+                           ("--count COUNT", "clifford"), ("--samples SAMPLES", "nilpotent")):
+        assert re.search(f"{option} [^-]*read by the {family} famil", out), option
 
 
 def test_osserman_demo_negative_fractions_after_a_space(capsys):

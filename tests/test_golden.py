@@ -4,8 +4,9 @@ leave byte-identical.
 Each case renders one deterministic output as text: a decomposition's JSON,
 a spectrum report, metric signatures and inverses, the JSON of group-ring
 elements (symmetrizers, idempotents, the canonical elements and right-factor
-solves), or the stdout of a CLI command.  The test compares the digest of
-that text with the pinned one.
+solves), every Littlewood-Richardson product up to a weight, or the stdout of
+a CLI command.  The test compares the digest of that text with the pinned
+one.
 A change that is meant to alter an output updates its digest and says why;
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints the
 current digest of every case.
@@ -34,6 +35,7 @@ from symcurv import (
     decompose_mixed,
     decompose_pure,
     derivative_idempotent,
+    lr_product,
     osserman_spectrum_sample,
     partitions_of,
     solve_right_factor,
@@ -149,6 +151,14 @@ def _solves() -> str:
     return "\n".join(lines)
 
 
+def _lr_products(weight: int) -> str:
+    """Every Littlewood-Richardson product of two partitions of weight at
+    most ``weight``, one JSON line per ordered pair."""
+    shapes = [p for w in range(weight + 1) for p in partitions_of(w)]
+    return "\n".join(_dumps([lam.to_json(), mu.to_json(), lr_product(lam, mu).to_json_dict()])
+                     for lam in shapes for mu in shapes)
+
+
 def _cli(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -222,6 +232,7 @@ CASES = {
     **{f"cli-schur-{name}{suffix}": (lambda tmp, argv=argv + flags: _cli(argv))
        for name, argv in SCHUR_ARGV.items()
        for suffix, flags in (("-text", []), ("-json", ["--json"]))},
+    "lr-products-w6": lambda tmp: _lr_products(6),
     "cli-demo-text": lambda tmp: _cli(["osserman", "demo"]),
     "cli-demo-nilpotent-gamma-text": lambda tmp: _cli(
         ["osserman", "demo", "--family", "nilpotent-gamma"]),
@@ -306,6 +317,7 @@ GOLDEN = {
     "decompose-mixed-gamma-identity-n3": "34f1408f28964c009bec02930d2fa40f98f79b527d70174c7569d3cf62817a2c",
     "decompose-mixed-gamma-identity-n4": "fa9896cf1bb9ae5c3397997168fa7cb60b0c1baac6b3387b46b51b4237ead97c",
     "decompose-mixed-zero-diagonal-n4": "105be1ce6d3fff135a1bdcb912257e8ea7ef8e3b4f1c676a51f5d487094d1dae",
+    "lr-products-w6": "33cd3f6006517883a62690a45593c39ae79df3616c5efde5cbb8c0620f6041cf",
     "metric-random-symmetric": "b30ba971ee3a59bcfc593ae4967c58dfe9e56e8e62527dea1dda78a74a079294",
     "solve-right-factor": "ee3bc109605448c454917db3def2904ab2de6d471ffb6736a6050f724007fbb9",
     "spectrum-clifford-r4": "8205870a103c2c8b09876eb6285cd244b28c650387d309961ca518e740dd9abf",

@@ -1037,7 +1037,8 @@ def test_sample_unit_vectors_always_meets_the_count():
         assert len(xs) == len(set(xs)) == (2 if g.dim == 1 else count)
         assert all(g.inner(x, x) == sign for x in xs)
     g = Metric.standard(3, 0)
-    assert osserman_spectrum_sample(gamma(g.tensor()), g, 0, 1).samples == ()
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        osserman_spectrum_sample(gamma(g.tensor()), g, 0, 1)
 
 
 def test_sample_unit_vectors_empty_sphere():
@@ -1257,6 +1258,14 @@ _REFUSALS = [
                                                   Metric.standard(2, 0), -1, 1),
                  "count must be >= 0, got -1",
                  id="osserman_spectrum_sample of a negative count"),
+    # no samples, no verdict: at count 0 both checks passed this non-Osserman,
+    # non-nilpotent tensor, which fails at 3 and 5 samples
+    pytest.param(lambda: nilpotency_check(rand_curvature(random.Random(3), 3),
+                                          Metric.standard(3, 0), 0),
+                 "count must be >= 1, got 0", id="nilpotency_check of no samples"),
+    pytest.param(lambda: osserman_spectrum_sample(rand_curvature(random.Random(3), 3),
+                                                  Metric.standard(3, 0), 0, 1),
+                 "count must be >= 1, got 0", id="osserman_spectrum_sample of no samples"),
     pytest.param(lambda: nilpotency_check(DenseTensor.zeros(2, 2), Metric.standard(2, 0), 1),
                  "order-4 tensor matching the metric dimension required",
                  id="nilpotency_check of order 2"),

@@ -1,7 +1,9 @@
 """Littlewood-Richardson products, the two plethysm rules, ideal structure."""
 
 import random
+from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import add
 
 import pytest
 
@@ -95,6 +97,29 @@ def test_plethysm_transpose_involution():
     terms = {rng.choice(pool): rng.randint(1, 3) for _ in range(5)}
     s = SchurSum(terms)
     assert plethysm_transpose(plethysm_transpose(s)) == s
+
+
+def _multiset_products(monomials: list, n: int) -> dict:
+    """The sum of the products of n of ``monomials``, taken as a multiset."""
+    out: dict[tuple[int, ...], int] = {}
+    for pick in combinations_with_replacement(monomials, n):
+        exp = tuple(map(sum, zip(*pick)))
+        out[exp] = out.get(exp, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plethysm_rules_against_monomial_oracle(n):
+    # h_n[h_2] is the sum over multisets of n degree-2 monomials, h_n[e_2]
+    # the same over square-free ones; in 4 variables
+    nvars = 4
+    units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
+    squares = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(units, 2)]
+    square_free = [tuple(map(add, a, b)) for a, b in combinations(units, 2)]
+    sym = plethysm_sym2(n)
+    assert schur_sum_polynomial(sym, nvars) == _multiset_products(squares, n)
+    assert (schur_sum_polynomial(plethysm_transpose(sym), nvars)
+            == _multiset_products(square_free, n))
 
 
 def test_ideal_structure_table():
