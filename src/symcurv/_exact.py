@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Union
+from typing import Collection, Mapping, Union
 
 #: Largest decimal exponent ``exact`` parses, in absolute value: the
 #: interpreter's default limit on the digits of an integer string, so
@@ -70,6 +70,8 @@ def strict_int(value, what: str) -> int:
 
 def json_int(payload, key: str) -> int:
     """``payload[key]``, which must be an integer (see :func:`strict_int`)."""
+    if not isinstance(payload, Mapping):
+        raise TypeError(f"expected a JSON object with {key!r}, got {payload!r:.40}")
     return strict_int(payload[key], repr(key))
 
 

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -47,10 +47,10 @@ from ._exact import Scalar, exact, json_int, numerators
 from .symgroup import GroupRingElement
 from .tensor_ops import (
     DenseTensor,
+    _act,
     _canonical_terms,
     _check_shape,
     _from_operator_rows,
-    _nonzero_count,
     _operator_rows,
     _slab,
     apply_symmetry_operator,
@@ -289,22 +289,28 @@ def check_curvature(tensor: DenseTensor) -> CurvatureCheck:
     """Run the direct symmetry test and the symmetrizer test side by side.
 
     The symmetrizer test ``ystar T == 12 T`` applies the four two-term
-    factors of ``ystar`` one after another, eight term actions in all;
+    factors of ``ystar`` as one chain, four term reads in all;
     ``canonical_elements`` checks once that they multiply to ``ystar``.
+    No verdict needs a result in lowest terms, so each is read off the raw
+    numerators of ``tensor_ops._act``: an annihilator holds when they are
+    all 0, the Bianchi count is the number of nonzero ones, and the chain
+    is compared with 12 T by cross-multiplying.
     """
     if tensor.order != 4:
         raise ValueError(f"order-4 tensor required, got order {tensor.order}")
     first_violation = next((name for name, annihilator in _DIRECT_CONDITIONS
-                            if apply_symmetry_operator(annihilator, tensor)), None)
-    bianchi_nonzero = _nonzero_count(bianchi_defect(tensor))
+                            if any(_act((annihilator,), tensor)[0])), None)
+    defect, _ = _act((_BIANCHI,), tensor)
+    bianchi_nonzero = len(defect) - defect.count(0)
     if first_violation is None and bianchi_nonzero:
         first_violation = "first Bianchi identity"
     direct_ok = first_violation is None
     canonical_elements()  # checks the factors once
-    young = tensor
-    for factor in reversed(_SYMMETRIZER_FACTORS):
-        young = apply_symmetry_operator(factor, young)
-    young_ok = young == tensor.scale(12)
+    (ints, den), (young, young_den) = _act((), tensor), _act(_SYMMETRIZER_FACTORS, tensor)
+    # young / young_den == 12 ints / den, as q young == p ints
+    p, q = Fraction(12 * young_den, den).as_integer_ratio()
+    young_ok = (young if q == 1 else tuple(map(mul, repeat(q), young))) == tuple(
+        map(mul, repeat(p), ints))
     return CurvatureCheck(direct_ok, young_ok, first_violation, bianchi_nonzero)
 
 

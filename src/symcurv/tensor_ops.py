@@ -16,9 +16,11 @@ kernels work on the integers and ``_unchecked`` brings each result to lowest
 terms with ``_exact.reduced``; a ``Fraction`` is built only when an entry is
 read (``[]``, ``nonzero_items``, ``rows``, ``to_nested``, ``trace``,
 ``m(v)``).  ``_gather`` alone maps a slot permutation to flat positions, for
-``transpose`` and ``apply_symmetry_operator``, the one action: every
-symmetry test in the package goes through it, and it reads the group-ring
-element's stored numerators with no sort and no conversion.
+``transpose`` and ``_act``, the one action: every symmetry test in the
+package goes through it, and it reads the group-ring element's stored
+numerators with no sort and no conversion.  ``_act`` applies a chain of
+elements and returns raw numerators, which the membership check reads
+without a lowest-terms pass; ``apply_symmetry_operator`` wraps one element.
 ``_reader`` turns a gather into an ``itemgetter`` once per (permutation,
 dimension) and caches it, so ``_gather`` runs only on a cache miss; the
 action reads the identity term straight from ``_ints``, every other term in
@@ -31,7 +33,7 @@ contraction ``T(a, x, x, d)``, and ``_from_operator_rows`` writes
 No other module reads or writes the flat numerators: they reach them only
 through ``_int_rows``, ``_from_int_rows``, ``_slab``, ``_operator_rows``,
 ``_from_operator_rows``, ``_canonical_terms``, ``_contract_middle`` and
-``_nonzero_count``.
+``_act``.
 
 An order-2 tensor is the package's one matrix type: ``rows``, ``@``, the
 action on a column vector ``m(v)``, ``trace`` and ``transpose`` refuse
@@ -366,42 +368,62 @@ class DenseTensor:
 
     @staticmethod
     def from_json_dict(payload: Mapping) -> "DenseTensor":
+        """Inverse of :meth:`to_json_dict`; a malformed field is refused
+        with an error that names it."""
         order, dim = json_int(payload, "order"), json_int(payload, "dim")
+        listed = payload.get("entries", [])
+        if not isinstance(listed, list):
+            raise TypeError(f"'entries' must be a list, got {listed!r:.40}")
         entries: dict[tuple, Scalar] = {}
-        for entry in payload.get("entries", ()):
-            idx = tuple(entry["idx"])
+        for entry in listed:
+            if not isinstance(entry, dict):
+                raise TypeError(f"every item of 'entries' must be an object, got {entry!r}")
+            idx, value = entry.get("idx"), entry.get("value")
+            if not isinstance(idx, list):
+                raise TypeError(f"'idx' must be a list of integers, got {idx!r}")
+            idx = tuple(strict_int(i, f"every entry of 'idx' {idx!r}") for i in idx)
             if idx in entries:
                 raise ValueError(f"index {list(idx)} appears twice in 'entries'")
-            entries[idx] = entry["value"]
+            if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+                raise TypeError(f"'value' at index {list(idx)} must be an integer or a "
+                                f"'p/q' string, not a bool, float or null; got {value!r}")
+            entries[idx] = value
         return DenseTensor.from_entries(order, dim, entries)
 
 
-def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTensor:
-    """Act with ``a`` on ``tensor`` by permuting slots and summing.
+def _act(elements: Sequence[GroupRingElement], tensor: DenseTensor
+         ) -> tuple[tuple[int, ...], int]:
+    """Integer numerators and denominator of ``a_1 (a_2 (... (a_k T)))`` for
+    ``elements = (a_1, ..., a_k)``, applied right to left and not brought to
+    lowest terms; no elements give the stored numerators of ``tensor``.
 
     Each term reads its entries through the cached ``_reader`` of its slot
-    permutation, the identity term the stored numerators themselves, and
-    ``map`` folds it into the sum: no Python bytecode runs per entry."""
-    if a.degree != tensor.order:
-        raise ValueError(
-            f"element degree {a.degree} != tensor order {tensor.order}"
-        )
-    ints, dim, identity = tensor._ints, tensor.dim, tuple(range(1, tensor.order + 1))
-    acc = None
-    for images, c in a._ints.items():
-        read = ints if images == identity else _reader(images, dim)(ints)
-        if acc is None:
-            acc = read if c == 1 else map(neg, read) if c == -1 else map(mul, repeat(c), read)
-        elif c == 1:
-            acc = map(add, acc, read)
-        elif c == -1:
-            acc = map(sub, acc, read)
-        else:
-            acc = map(add, acc, map(mul, repeat(c), read))
-        acc = tuple(acc)
-    if acc is None:
-        acc = (0,) * len(ints)
-    return DenseTensor._unchecked(tensor.order, tensor.dim, acc, a._den * tensor._den)
+    permutation, the identity term the numerators themselves, and ``map``
+    folds it into the sum: no Python bytecode runs per entry."""
+    ints, den, order = tensor._ints, tensor._den, tensor.order
+    identity = tuple(range(1, order + 1))
+    for a in reversed(elements):
+        if a.degree != order:
+            raise ValueError(f"element degree {a.degree} != tensor order {order}")
+        acc = None
+        for images, c in a._ints.items():
+            read = ints if images == identity else _reader(images, tensor.dim)(ints)
+            if acc is None:
+                acc = read if c == 1 else map(neg, read) if c == -1 else map(mul, repeat(c), read)
+            elif c == 1:
+                acc = map(add, acc, read)
+            elif c == -1:
+                acc = map(sub, acc, read)
+            else:
+                acc = map(add, acc, map(mul, repeat(c), read))
+            acc = tuple(acc)
+        ints, den = (0,) * len(ints) if acc is None else acc, den * a._den
+    return ints, den
+
+
+def apply_symmetry_operator(a: GroupRingElement, tensor: DenseTensor) -> DenseTensor:
+    """Act with ``a`` on ``tensor`` by permuting slots and summing (``_act``)."""
+    return DenseTensor._unchecked(tensor.order, tensor.dim, *_act((a,), tensor))
 
 
 def _contract_middle(tensor: DenseTensor, x: Sequence[Fraction]) -> DenseTensor:
@@ -513,12 +535,6 @@ def slice_pairs(tensor: DenseTensor) -> list[tuple[DenseTensor, DenseTensor]]:
     return [(slab, DenseTensor.from_entries(2, n, {(k, l): 1}))
             for k in range(n) for l in range(n)
             if not (slab := _slab(tensor, k, l)).is_zero]
-
-
-def _nonzero_count(tensor: DenseTensor) -> int:
-    """The number of nonzero entries of ``tensor``, counted in C."""
-    ints = tensor._ints
-    return len(ints) - ints.count(0)
 
 
 def sym_split(m: DenseTensor) -> tuple[DenseTensor, DenseTensor]:

@@ -149,17 +149,32 @@ def test_non_integer_tensor_shape_is_an_input_error(shape, tmp_path, capsys):
     assert "invalid tensor JSON" in err[0]
 
 
-@pytest.mark.parametrize("entries", [
-    [{"idx": [0, 1, 0, 1], "value": True}],
-    [{"idx": [0, 1, 0, 1], "value": 1}, {"idx": [0, 1, 0, 1], "value": "5/2"}],
-], ids=["bool-value", "repeated-idx"])
-def test_bad_tensor_entries_are_input_errors(entries, tmp_path, capsys):
+@pytest.mark.parametrize("payload, field, leak", [
+    ({"entries": [{"idx": [0, 1, 0, 1], "value": True}]}, "'value' at index [0, 1, 0, 1]", None),
+    ({"entries": [{"idx": [0, 1, 0, 1], "value": 1}, {"idx": [0, 1, 0, 1], "value": "5/2"}]},
+     "appears twice", None),
+    ({"entries": [{"idx": 5, "value": 1}]}, "'idx' must be a list", "not iterable"),
+    ({"entries": {"a": 1}}, "'entries' must be a list", "string indices"),
+    ({"entries": [{"idx": [0, 1, 0, 1]}]}, "'value' at index [0, 1, 0, 1]", "'value'\n"),
+    ({"entries": [{"idx": [[0], 1, 0, 1], "value": 1}]}, "every entry of 'idx'", "unhashable"),
+    ({"entries": [{"idx": [0, 1, 0, 1], "value": None}]}, "'value' at index [0, 1, 0, 1]",
+     "Rational instance"),
+    ({"entries": None}, "'entries' must be a list", "NoneType"),
+    ({"entries": [7]}, "every item of 'entries'", "not subscriptable"),
+    ([], "expected a JSON object with 'order'", "list indices"),
+], ids=["bool-value", "repeated-idx", "idx-int", "entries-object", "value-missing",
+        "idx-nested", "value-null", "entries-null", "entry-int", "payload-list"])
+def test_bad_tensor_entries_are_input_errors(payload, field, leak, tmp_path, capsys):
+    """Each malformed field of a tensor file is an input error whose one
+    line names the field, not the Python error it used to leak."""
     path = tmp_path / "entries.json"
-    path.write_text(json.dumps({"order": 4, "dim": 2, "entries": entries}))
+    if isinstance(payload, dict):
+        payload = {"order": 4, "dim": 2, **payload}
+    path.write_text(json.dumps(payload))
     assert main(["check-curvature", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert "invalid tensor JSON" in err[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid tensor JSON: ") and err.count("\n") == 1
+    assert field in err and (leak is None or leak not in err)
 
 
 @pytest.mark.parametrize("signature", [{"p": 3.7, "q": 0}, {"p": 3, "q": False}])

@@ -205,7 +205,7 @@ def _membership_cases(draw):
     n = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(_PERTURBATIONS))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
-    t = rand_curvature(rng, n, 1).scale(Fraction(1, rng.choice((1, 5, 7))))
+    t = rand_curvature(rng, n, 1).scale(Fraction(1, rng.choice((1, 2, 3, 4, 5, 7, 12))))
     delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 3, 7)))
     a, b = rand_skew(rng, n), rand_skew(rng, n)
     if kind == "entry":
@@ -232,14 +232,18 @@ def test_membership_cases_reach_every_verdict():
     rng = random.Random(39)
     t = rand_curvature(rng, 4, 1).scale(Fraction(1, 7))
     a, b, s = rand_skew(rng, 4), rand_skew(rng, 4), rand_symmetric(rng, 4)
-    cases = {
-        None: t,
-        _CONDITION_NAMES[0]: t + DenseTensor.from_entries(4, 4, {(0, 1, 2, 3): Fraction(1, 3)}),
-        _CONDITION_NAMES[1]: t + tensor_product(a, s).scale(Fraction(2, 3)),
-        _CONDITION_NAMES[2]: t + tensor_product(a, b).scale(Fraction(-1, 7)),
-        "first Bianchi identity": t + tensor_product(a, a).scale(Fraction(1, 3)),
-    }
-    for violation, tensor in cases.items():
+    # over 12 and 4 the denominators share factors with the 12 of ystar T == 12 T
+    t12 = t.scale(Fraction(7, 12))
+    cases = [
+        (None, t),
+        (_CONDITION_NAMES[0], t + DenseTensor.from_entries(4, 4, {(0, 1, 2, 3): Fraction(1, 3)})),
+        (_CONDITION_NAMES[1], t + tensor_product(a, s).scale(Fraction(2, 3))),
+        (_CONDITION_NAMES[2], t + tensor_product(a, b).scale(Fraction(-1, 7))),
+        ("first Bianchi identity", t + tensor_product(a, a).scale(Fraction(1, 3))),
+        (None, t12),
+        ("first Bianchi identity", t12 + tensor_product(a, a).scale(Fraction(1, 4))),
+    ]
+    for violation, tensor in cases:
         result = check_curvature(tensor)
         assert result.first_violation == violation
         assert result == _entrywise_check(tensor)
@@ -334,6 +338,28 @@ def test_membership_check_term_reads(monkeypatch):
     assert result.first_violation == "antisymmetry in the first index pair"
     assert len(reads) == 7
     assert reader.cache_info().misses == built
+
+
+def test_membership_check_reduces_nothing(monkeypatch):
+    """No verdict of ``check_curvature`` needs a result in lowest terms, so
+    neither an accepted nor a rejected check calls ``_exact.reduced``."""
+    rng = random.Random(1)
+    accepted = rand_curvature(rng, 4).scale(Fraction(1, 12))
+    a = rand_skew(rng, 4)
+    rejected = accepted + tensor_product(a, a).scale(Fraction(1, 4))
+    canonical_elements()
+    reduced, calls = tensor_ops_module.reduced, []
+
+    def counting(ints, den):
+        calls.append(den)
+        return reduced(ints, den)
+
+    monkeypatch.setattr(tensor_ops_module, "reduced", counting)
+    assert check_curvature(accepted).ok
+    assert check_curvature(rejected).first_violation == "first Bianchi identity"
+    assert calls == []
+    apply_symmetry_operator(canonical_elements().symmetrizer_star, accepted)
+    assert len(calls) == 1  # the counter does see the action's wrapper
 
 
 def test_identity_table_entries():

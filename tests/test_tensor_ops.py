@@ -117,7 +117,8 @@ def test_index_entries_must_be_integers():
 def test_flat_numerators_stay_inside_tensor_ops():
     """Only ``tensor_ops`` reads or writes the stored numerators; the other
     modules go through its private helpers (``_int_rows``, ``_slab``,
-    ``_operator_rows``, ``_from_operator_rows``, ...)."""
+    ``_operator_rows``, ``_from_operator_rows``, the raw action ``_act``,
+    ...)."""
     touch = re.compile(r"\._ints|\._den\b|\._unchecked\(")
     for module in (symcurv.curvature, symcurv.osserman, symcurv.cli):
         with open(module.__file__, encoding="utf-8") as source:
@@ -270,13 +271,21 @@ def test_action_matches_entrywise_reference(order, dim):
 
 
 def test_action_is_compatible_with_product():
+    """``(a*b) T == a (b T)`` with equal storage, for elements and tensors
+    with non-unit coefficients and denominators; the unreduced chain
+    ``_act((a, b), T)``, brought to lowest terms, stores the same, and the
+    empty chain gives the stored numerators."""
     rng = random.Random(14)
-    for _ in range(5):
-        a = rand_ring_element(rng, 4)
-        b = rand_ring_element(rng, 4)
-        t = rand_tensor(rng, 4, 3)
-        assert (apply_symmetry_operator(ring_product(a, b), t)
-                == apply_symmetry_operator(a, apply_symmetry_operator(b, t)))
+    for degree, dim in ((2, 3), (3, 2), (4, 2), (4, 3)):
+        for _ in range(4):
+            a, b = rand_ring_element(rng, degree, 4), rand_ring_element(rng, degree, 4)
+            t = rand_tensor(rng, degree, dim).scale(Fraction(1, rng.choice((1, 4, 6, 12))))
+            expected = apply_symmetry_operator(ring_product(a, b), t)
+            chained = DenseTensor._unchecked(degree, dim, *tensor_ops_module._act((a, b), t))
+            for got in (apply_symmetry_operator(a, apply_symmetry_operator(b, t)), chained):
+                assert (got._den, got._ints) == (expected._den, expected._ints)
+                assert hash(got) == hash(expected)
+            assert tensor_ops_module._act((), t) == (t._ints, t._den)
 
 
 # -------------------------------------------------------------- tensor product
