@@ -69,9 +69,12 @@ def strict_int(value, what: str) -> int:
 
 
 def json_int(payload, key: str) -> int:
-    """``payload[key]``, which must be an integer (see :func:`strict_int`)."""
+    """``payload[key]``, which must be present and an integer (see
+    :func:`strict_int`)."""
     if not isinstance(payload, Mapping):
         raise TypeError(f"expected a JSON object with {key!r}, got {payload!r:.40}")
+    if key not in payload:
+        raise ValueError(f"missing integer field {key!r}")
     return strict_int(payload[key], repr(key))
 
 

@@ -387,7 +387,13 @@ class DenseTensor:
             if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
                 raise TypeError(f"'value' at index {list(idx)} must be an integer or a "
                                 f"'p/q' string, not a bool, float or null; got {value!r}")
-            entries[idx] = value
+            try:
+                entries[idx] = exact(value)
+            except ZeroDivisionError:
+                raise ValueError(f"'value' at index {list(idx)} has a zero denominator: "
+                                 f"{value!r:.40}") from None
+            except ValueError as err:
+                raise ValueError(f"'value' at index {list(idx)}: {err}") from None
         return DenseTensor.from_entries(order, dim, entries)
 
 

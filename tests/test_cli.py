@@ -162,8 +162,13 @@ def test_non_integer_tensor_shape_is_an_input_error(shape, tmp_path, capsys):
     ({"entries": None}, "'entries' must be a list", "NoneType"),
     ({"entries": [7]}, "every item of 'entries'", "not subscriptable"),
     ([], "expected a JSON object with 'order'", "list indices"),
+    ({"entries": [{"idx": [0, 1, 0, 1], "value": "1/0"}]},
+     "'value' at index [0, 1, 0, 1] has a zero denominator", "Fraction(1, 0)"),
+    ({"entries": [{"idx": [0, 1, 0, 1], "value": "x"}]}, "'value' at index [0, 1, 0, 1]: ",
+     None),
 ], ids=["bool-value", "repeated-idx", "idx-int", "entries-object", "value-missing",
-        "idx-nested", "value-null", "entries-null", "entry-int", "payload-list"])
+        "idx-nested", "value-null", "entries-null", "entry-int", "payload-list",
+        "value-zero-denominator", "value-not-a-number"])
 def test_bad_tensor_entries_are_input_errors(payload, field, leak, tmp_path, capsys):
     """Each malformed field of a tensor file is an input error whose one
     line names the field, not the Python error it used to leak."""
@@ -175,6 +180,24 @@ def test_bad_tensor_entries_are_input_errors(payload, field, leak, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: invalid tensor JSON: ") and err.count("\n") == 1
     assert field in err and (leak is None or leak not in err)
+
+
+@pytest.mark.parametrize("missing", ["tensor", "metric"])
+def test_missing_integer_field_is_named(missing, tmp_path, capsys):
+    """A tensor file without "order" and a metric file without "p" are
+    input errors whose one line names the field, not a bare KeyError."""
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor = {"order": 4, "dim": 2, "entries": []}
+    if missing == "tensor":
+        del tensor["order"]
+    tensor_path.write_text(json.dumps(tensor))
+    metric_path.write_text(json.dumps({"q": 0} if missing == "metric" else {"p": 2, "q": 0}))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == 2
+    err = capsys.readouterr().err
+    path, field = (tensor_path, "'order'") if missing == "tensor" else (metric_path, "'p'")
+    assert err == f"error: {path}: invalid {missing} JSON: missing integer field {field}\n"
 
 
 @pytest.mark.parametrize("signature", [{"p": 3.7, "q": 0}, {"p": 3, "q": False}])

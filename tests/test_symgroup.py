@@ -3,7 +3,9 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,11 @@ from symcurv import (
     star,
 )
 import symcurv.curvature as curvature_module
+import symcurv.symgroup as symgroup_module
+from symcurv._exact import row_reduce
 from symcurv.symgroup import _block_product, _value_blocks
 from symcurv.young import (
+    Partition,
     curvature_tableau,
     partitions_of,
     standard_tableaux,
@@ -545,6 +550,87 @@ def test_solve_agrees_with_sympy():
             assert a * found == c
             solvable_seen += 1
     assert solvable_seen and unsolvable_seen
+
+
+def _full_width_solution(left_multiplication, c):
+    """The reading of the whole ``[L | c]``, for ``(group, L)`` built by
+    ``_left_multiplication`` and reduced by ``row_reduce`` over all r!
+    columns at once, free columns set to 0; ``None`` when the rows past the
+    rank are not 0 in ``c``."""
+    group, rows = left_multiplication
+    rhs = [c.coefficient(Permutation(s)) for s in group]
+    den_a = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    den_c = lcm(*(v.denominator for v in rhs))
+    matrix = [[int(v * den_a) for v in row] + [int(v * den_c)] for row, v in zip(rows, rhs)]
+    n = len(group)
+    pivots = row_reduce(matrix, n)
+    if any(row[n] for row in matrix[len(pivots):]):
+        return None
+    return GroupRingElement(c.degree, [
+        (Permutation(group[col]), Fraction(matrix[i][n] * den_a, matrix[i][col] * den_c))
+        for i, col in enumerate(pivots)])
+
+
+def test_solve_matches_full_width_reduction(monkeypatch):
+    """At r = 5 the windowed solve returns the whole element that reducing
+    the full 120 x 121 matrix gives, ``None`` included: symmetrizers, their
+    products with random elements, random elements with enough terms that
+    the pivots run past the first windows, ``c`` outside the image, and
+    zero ``a``.  Every window width, 2 up to the whole group, is reached."""
+    widths = set()
+
+    def spy(rows, ncols):
+        widths.add(ncols)
+        return row_reduce(rows, ncols)
+
+    monkeypatch.setattr(symgroup_module, "row_reduce", spy)
+    rng = random.Random(36)
+    factors = [young_symmetrizer(rng.choice(standard_tableaux(shape)))
+               .scale(rng.choice((1, -2, "3/5"))) for shape in partitions_of(5)]
+    factors += [y * rand_ring_element(rng, 5, terms=2) for y in factors[1:-1]]
+    factors += [rand_ring_element(rng, 5, terms=terms) for terms in (1, 2, 4)]
+    factors.append(GroupRingElement.zero(5))
+    outcomes = set()
+    for a in factors:
+        left_multiplication = _left_multiplication(a, 5)
+        for c in (a * rand_ring_element(rng, 5, terms=3), rand_ring_element(rng, 5, terms=2),
+                  GroupRingElement.zero(5)):
+            found = solve_right_factor(a, c)
+            assert found == _full_width_solution(left_multiplication, c)
+            assert found is None or a * found == c
+            outcomes.add(found is None)
+    assert outcomes == {True, False}
+    assert widths == {2, 4, 8, 16, 32, 64, 120}
+
+
+def test_solve_cost_follows_the_window_not_the_group(monkeypatch):
+    """An r = 7 symmetrizer solve, where the whole matrix would be
+    5040 x 5041: a ``c`` in the span of the first 24 columns (``x0`` fixes
+    1, 2 and 3) is solved within the 32-column window, well under a second.
+    Where the answer needs later pivots the window grows further (a random
+    ``x0`` needs 512 columns for this tableau).  The cap still refuses
+    r = 7 before any elimination."""
+    widths = []
+
+    def spy(rows, ncols):
+        widths.append(ncols)
+        return row_reduce(rows, ncols)
+
+    monkeypatch.setattr(symgroup_module, "row_reduce", spy)
+    rng = random.Random(7)
+    y = young_symmetrizer(standard_tableaux(Partition((4, 2, 1)))[0])
+    x0 = GroupRingElement(7, [((1, 2, 3, *rng.sample(range(4, 8), 4)), rng.randint(1, 9))
+                              for _ in range(3)])
+    c = y * x0
+    start = time.perf_counter()
+    x = solve_right_factor(y, c)
+    elapsed = time.perf_counter() - start
+    assert y * x == c
+    assert max(widths) <= 32 and elapsed < 1.0
+    widths.clear()
+    with pytest.raises(ValueError, match=re.escape("degree 7 exceeds the cap of 6")):
+        solve_right_factor(y, c, cap=6)
+    assert widths == []
 
 
 def test_gamma_preimage_is_pinned():
