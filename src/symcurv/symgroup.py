@@ -534,13 +534,13 @@ def solve_right_factor(
     once ``c`` lies in the span of the window, its solution padded with
     zeros is the full reading.  The cost follows the last pivot the answer
     needs, not r!: a Young symmetrizer has rank f_lambda, and a symmetrizer
-    solve takes 0.03-0.17 ms at r = 4, 0.7-1.4 ms at r = 5 and 25-45 ms at
+    solve takes 0.03-0.2 ms at r = 4, 0.7-1.6 ms at r = 5 and 25-50 ms at
     r = 6; at r = 7, 30 ms when the answer needs the first 16 columns and
-    2 s when it needs 512 (Python 3.11 on a 2-core VM).  The price is the
-    answer ``None``: only the whole group can show it, after every smaller
-    window, so it costs up to about twice one elimination of the full
-    ``[L | c]``, which grows like (r!)^3 (8.4 ms against 5.1 ms for a
-    degree-5 symmetrizer and ``c = 1``).
+    2-2.5 s when it needs 512 (Python 3.11 on a 2-core VM).  The price is
+    the answer ``None``: only the whole group can show it, after every
+    smaller window, so it costs up to about twice one elimination of the
+    full ``[L | c]``, which grows like (r!)^3 (8-10 ms against 5-6 ms for
+    a degree-5 symmetrizer and ``c = 1``).
     """
     if a.degree != c.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {c.degree}")
