@@ -4,7 +4,7 @@ leave byte-identical.
 Each case renders one deterministic output as text: a decomposition's JSON,
 a spectrum report, metric signatures and inverses, the JSON of group-ring
 elements (symmetrizers, idempotents, the canonical elements and right-factor
-solves), every Littlewood-Richardson product up to a weight, or the stdout of
+solves), every Littlewood-Richardson product in a weight range, or the stdout of
 a CLI command.  The test compares the digest of that text with the pinned
 one.
 A change that is meant to alter an output updates its digest and says why;
@@ -151,10 +151,10 @@ def _solves() -> str:
     return "\n".join(lines)
 
 
-def _lr_products(weight: int) -> str:
-    """Every Littlewood-Richardson product of two partitions of weight at
-    most ``weight``, one JSON line per ordered pair."""
-    shapes = [p for w in range(weight + 1) for p in partitions_of(w)]
+def _lr_products(low: int, high: int) -> str:
+    """Every Littlewood-Richardson product of two partitions whose weights
+    lie in ``low..high``, one JSON line per ordered pair."""
+    shapes = [p for w in range(low, high + 1) for p in partitions_of(w)]
     return "\n".join(_dumps([lam.to_json(), mu.to_json(), lr_product(lam, mu).to_json_dict()])
                      for lam in shapes for mu in shapes)
 
@@ -232,7 +232,8 @@ CASES = {
     **{f"cli-schur-{name}{suffix}": (lambda tmp, argv=argv + flags: _cli(argv))
        for name, argv in SCHUR_ARGV.items()
        for suffix, flags in (("-text", []), ("-json", ["--json"]))},
-    "lr-products-w6": lambda tmp: _lr_products(6),
+    "lr-products-w6": lambda tmp: _lr_products(0, 6),
+    "lr-products-w8": lambda tmp: _lr_products(8, 8),
     "cli-demo-text": lambda tmp: _cli(["osserman", "demo"]),
     "cli-demo-nilpotent-gamma-text": lambda tmp: _cli(
         ["osserman", "demo", "--family", "nilpotent-gamma"]),
@@ -318,6 +319,7 @@ GOLDEN = {
     "decompose-mixed-gamma-identity-n4": "fa9896cf1bb9ae5c3397997168fa7cb60b0c1baac6b3387b46b51b4237ead97c",
     "decompose-mixed-zero-diagonal-n4": "105be1ce6d3fff135a1bdcb912257e8ea7ef8e3b4f1c676a51f5d487094d1dae",
     "lr-products-w6": "33cd3f6006517883a62690a45593c39ae79df3616c5efde5cbb8c0620f6041cf",
+    "lr-products-w8": "08aab4fac0586523a6225c700f6aa99f8616c3a75453ca75678ac7361ac348ff",
     "metric-random-symmetric": "b30ba971ee3a59bcfc593ae4967c58dfe9e56e8e62527dea1dda78a74a079294",
     "solve-right-factor": "ee3bc109605448c454917db3def2904ab2de6d471ffb6736a6050f724007fbb9",
     "spectrum-clifford-r4": "8205870a103c2c8b09876eb6285cd244b28c650387d309961ca518e740dd9abf",
