@@ -4,7 +4,7 @@
 purpose, and so is a decimal string whose exponent exceeds ``EXPONENT_CAP``).
 ``strict_int`` accepts an integer and refuses bools, floats and strings
 instead of truncating or parsing them; ``json_int`` applies it to one field
-of a JSON payload.
+of a JSON payload, and ``json_exact`` applies ``exact`` to one JSON value.
 ``numerators`` is the one conversion from rationals to integers: Fractions
 become integer numerators over the lcm of their denominators, in lowest
 terms, and ``reduced`` restores lowest terms after integer arithmetic.  A
@@ -76,6 +76,20 @@ def json_int(payload, key: str) -> int:
     if key not in payload:
         raise ValueError(f"missing integer field {key!r}")
     return strict_int(payload[key], repr(key))
+
+
+def json_exact(value, what: str) -> Fraction:
+    """``exact(value)`` for a value read from JSON, which must be an int, a
+    string or a Fraction; a refusal names the value as ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+        raise TypeError(f"{what} must be an integer or a 'p/q' string, not a bool, "
+                        f"float or null; got {value!r}")
+    try:
+        return exact(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator: {value!r:.40}") from None
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
 
 
 def numerators(values: Collection[Fraction]) -> tuple[list[int], int]:

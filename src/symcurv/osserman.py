@@ -22,7 +22,7 @@ from math import gcd, isqrt, lcm
 from operator import mul, not_
 from typing import Iterable, Mapping, Sequence
 
-from ._exact import Scalar, exact, json_int, numerators, row_reduce
+from ._exact import Scalar, exact, json_exact, json_int, numerators, row_reduce
 from .curvature import (
     _quadratic_sum,
     _require_curvature,
@@ -193,7 +193,10 @@ class Metric:
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise TypeError(f"'matrix' must be a list of lists, got {rows!r}")
             _check_shape(4, len(rows) or 1)  # LinearMap refuses an empty matrix
-            return cls(rows)
+            if any(len(row) != len(rows) for row in rows):  # before reading entries
+                raise ValueError("matrix must be square and nonempty")
+            return cls([[json_exact(v, f"'matrix' entry at row {i}, column {j}")
+                         for j, v in enumerate(row)] for i, row in enumerate(rows)])
         return cls.standard(json_int(payload, "p"), json_int(payload, "q"))
 
 

@@ -51,7 +51,7 @@ from math import lcm, prod
 from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._exact import Scalar, exact, json_int, numerators, reduced, strict_int
+from ._exact import Scalar, exact, json_exact, json_int, numerators, reduced, strict_int
 from .symgroup import GroupRingElement, enumerate_group
 
 
@@ -384,16 +384,7 @@ class DenseTensor:
             idx = tuple(strict_int(i, f"every entry of 'idx' {idx!r}") for i in idx)
             if idx in entries:
                 raise ValueError(f"index {list(idx)} appears twice in 'entries'")
-            if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
-                raise TypeError(f"'value' at index {list(idx)} must be an integer or a "
-                                f"'p/q' string, not a bool, float or null; got {value!r}")
-            try:
-                entries[idx] = exact(value)
-            except ZeroDivisionError:
-                raise ValueError(f"'value' at index {list(idx)} has a zero denominator: "
-                                 f"{value!r:.40}") from None
-            except ValueError as err:
-                raise ValueError(f"'value' at index {list(idx)}: {err}") from None
+            entries[idx] = json_exact(value, f"'value' at index {list(idx)}")
         return DenseTensor.from_entries(order, dim, entries)
 
 

@@ -86,7 +86,7 @@ class Partition:
         text = text.strip()
         if not text or text == "()":
             return cls(())
-        return cls(int(piece) for piece in text.split(","))
+        return cls(_digit_runs(text))
 
     def to_json(self) -> list[int]:
         return list(self._parts)
@@ -94,6 +94,15 @@ class Partition:
     @classmethod
     def from_json(cls, payload: Iterable[int]) -> "Partition":
         return cls(payload)
+
+
+def _digit_runs(text: str) -> list[int]:
+    """The integers in ``"3, 1"``: comma-joined ASCII digits, where ``int``
+    alone would also read signs, underscores and other scripts' digits."""
+    pieces = [piece.strip() for piece in text.split(",")]
+    if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+        raise ValueError(f"expected ASCII digits joined by commas, got {text!r}")
+    return [int(piece) for piece in pieces]
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -182,8 +191,7 @@ class YoungTableau:
 
     @classmethod
     def from_text(cls, text: str) -> "YoungTableau":
-        rows = [piece.split(",") for piece in text.strip().split(";")]
-        return cls([[int(x) for x in row] for row in rows])
+        return cls([_digit_runs(row) for row in text.strip().split(";")])
 
     def to_json_dict(self) -> dict:
         return {"rows": [list(row) for row in self._rows]}

@@ -131,7 +131,7 @@ def rand_ring_element(rng: random.Random, degree: int,
 # Independent check of the Littlewood-Richardson implementation: expand each
 # class as its generating function over semistandard tableaux (a polynomial
 # in `nvars` variables) and compare products coefficient-by-coefficient.
-# Nothing here shares code with the lattice-word counting under test.
+# Nothing here shares code with the horizontal-strip rule under test.
 #
 # Schur polynomials and their products are symmetric, and two symmetric
 # polynomials that agree at every partition-shaped (weakly decreasing)

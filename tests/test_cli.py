@@ -182,6 +182,38 @@ def test_bad_tensor_entries_are_input_errors(payload, field, leak, tmp_path, cap
     assert field in err and (leak is None or leak not in err)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1/0", "'matrix' entry at row 1, column 0 has a zero denominator: '1/0'"),
+    ("x", "'matrix' entry at row 1, column 0: Invalid literal for Fraction: 'x'"),
+    (0.5, "'matrix' entry at row 1, column 0 must be an integer or a 'p/q' string"),
+    (None, "'matrix' entry at row 1, column 0 must be an integer or a 'p/q' string"),
+], ids=["zero-denominator", "not-a-number", "float", "null"])
+def test_bad_metric_entries_are_named(entry, message, tmp_path, capsys):
+    """A refused matrix entry of a metric file is named by row and column,
+    not by the Python error it used to leak."""
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text('{"order": 4, "dim": 2, "entries": []}')
+    metric_path.write_text(json.dumps({"matrix": [["1", "0"], [entry, "1"]]}))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {metric_path}: invalid metric JSON: {message}")
+    assert err.count("\n") == 1 and "Fraction(1, 0)" not in err
+
+
+def test_non_square_metric_is_refused_before_its_entries(tmp_path, capsys):
+    # the long row's "x" is never read, so the shape is what gets reported
+    tensor_path = tmp_path / "t.json"
+    metric_path = tmp_path / "g.json"
+    tensor_path.write_text('{"order": 4, "dim": 2, "entries": []}')
+    metric_path.write_text(json.dumps({"matrix": [["1", "0"], ["0", "1", "x"]]}))
+    assert main(["osserman", "spectrum", "--tensor", str(tensor_path),
+                 "--metric", str(metric_path), "--count", "2"]) == 2
+    assert capsys.readouterr().err == (f"error: {metric_path}: invalid metric JSON: "
+                                       "matrix must be square and nonempty\n")
+
+
 @pytest.mark.parametrize("missing", ["tensor", "metric"])
 def test_missing_integer_field_is_named(missing, tmp_path, capsys):
     """A tensor file without "order" and a metric file without "p" are
@@ -325,6 +357,17 @@ def test_schur_plethysm_outputs(capsys):
 def test_schur_bad_partition(capsys):
     assert main(["schur", "lr", "1,2", "1"]) == 2
     assert "partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["0_3", "+3", "\u0661", "3, -1"],
+                         ids=["underscore", "plus", "arabic-indic", "minus"])
+def test_schur_partition_text_takes_ascii_digits_only(text, capsys):
+    # "0_3" used to print "4 + 3,1" with exit 0
+    assert main(["schur", "lr", text, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad partition {text!r}: expected ASCII digits "
+                            f"joined by commas, got {text!r}\n")
 
 
 @pytest.mark.parametrize("argv", [

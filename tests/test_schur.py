@@ -44,6 +44,13 @@ def test_lr_empty_partition_is_unit():
 def test_lr_weight_cap():
     with pytest.raises(ValueError, match="cap"):
         lr_product(P(9), P(1))
+    with pytest.raises(ValueError, match="cap"):
+        lr_product(P(1), P(5, 4))
+    # the cap admits 8 x 8: Pieri's rule for two rows, and the product with
+    # the most terms
+    pieri = {P(16): 1, **{P(16 - j, j): 1 for j in range(1, 9)}}
+    assert lr_product(P(8), P(8)) == SchurSum(pieri)
+    assert len(lr_product(P(4, 2, 1, 1), P(4, 2, 1, 1))) == 93
 
 
 def test_lr_symmetry_small_weights():
@@ -51,6 +58,16 @@ def test_lr_symmetry_small_weights():
     for lam in partitions:
         for mu in partitions:
             assert lr_product(lam, mu) == lr_product(mu, lam)
+
+
+def test_lr_conjugation_symmetry_small_weights():
+    # c^{nu'}_{lam' mu'} = c^nu_{lam mu}; the rule adds rows only, so the
+    # conjugate pair reaches each coefficient through other strips
+    partitions = [p for w in range(6) for p in partitions_of(w)]
+    for lam in partitions:
+        for mu in partitions:
+            assert (lr_product(lam.conjugate(), mu.conjugate())
+                    == plethysm_transpose(lr_product(lam, mu)))
 
 
 def test_lr_against_schur_polynomial_oracle_spot():

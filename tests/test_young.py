@@ -63,6 +63,19 @@ def test_partition_text_round_trip():
     assert str(Partition([3, 1])) == "3,1"
     assert Partition.from_text("").parts == ()
     assert repr(Partition([3, 1])) == "Partition([3, 1])"
+    assert Partition.from_text(" 3, 1 ").parts == (3, 1)
+
+
+# int() alone read the first four as numbers and refused the rest with its
+# own message
+@pytest.mark.parametrize("text", ["0_3", "+3", "\u0661", "3,-1", "3,,1", "3.0", "\u00b2"],
+                         ids=["underscore", "plus", "arabic-indic", "minus", "empty-part",
+                              "decimal-point", "superscript"])
+def test_partition_and_tableau_text_take_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        Partition.from_text(text)
+    with pytest.raises(ValueError, match="ASCII digits"):
+        YoungTableau.from_text(f"1;{text}")
 
 
 def test_tableau_validation():
